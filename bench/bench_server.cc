@@ -19,6 +19,10 @@
 // debug_hold_seconds) with the watchdog armed to flag it — the
 // end-to-end fixture scripts/check_observability.py validates.
 //
+// The report also carries the run's deltas of x3_cube_computations_total
+// and x3_cube_result_cells_total: how many lattice computes the misses
+// ran and how many cells those computes produced.
+//
 // Flags (all optional): --clients=N --qps=Q --queries=N --seed=S
 // --threads=N --cache-kb=N --trees=N --articles=N --slow-ms=N
 // --stall-ms=N --watchdog-ms=N --statusz-out=PATH --query-log-out=PATH
@@ -169,6 +173,13 @@ int main(int argc, char** argv) {
     options.stuck_after_seconds =
         flags.stall_ms > 0 ? flags.stall_ms / 2 / 1e3 : 60.0;
   }
+  x3::MetricRegistry& registry = x3::MetricRegistry::Global();
+  x3::Counter* computations =
+      registry.GetCounter("x3_cube_computations_total", "");
+  x3::Counter* result_cells =
+      registry.GetCounter("x3_cube_result_cells_total", "");
+  const uint64_t computations_before = computations->value();
+  const uint64_t result_cells_before = result_cells->value();
   x3::X3Server server(db->get(), options);
 
   const x3::CubeAlgorithm kAlgorithms[] = {
@@ -272,7 +283,6 @@ int main(int argc, char** argv) {
 
   // Reported numbers come from the metrics registry — the same wiring
   // the CI observability gate and a production scrape would read.
-  x3::MetricRegistry& registry = x3::MetricRegistry::Global();
   x3::Histogram* latency = registry.GetHistogram(
       "x3_server_query_latency_seconds", "");
   uint64_t hits = registry.GetCounter("x3_server_cache_hits_total", "")->value();
@@ -297,7 +307,8 @@ int main(int argc, char** argv) {
       "  \"exact_hits\": %llu, \"rollup_answers\": %llu,\n"
       "  \"cache_misses\": %llu, \"cache_served\": %llu,\n"
       "  \"cache_hit_rate\": %.3f, \"evictions\": %llu,\n"
-      "  \"slow_queries\": %llu, \"stuck_queries\": %llu\n"
+      "  \"slow_queries\": %llu, \"stuck_queries\": %llu,\n"
+      "  \"cube_computations\": %llu, \"cube_result_cells\": %llu\n"
       "}\n",
       flags.clients, flags.qps,
       static_cast<unsigned long long>(queries),
@@ -317,6 +328,10 @@ int main(int argc, char** argv) {
       served_total > 0 ? static_cast<double>(served) / served_total : 0,
       static_cast<unsigned long long>(evictions),
       static_cast<unsigned long long>(slow),
-      static_cast<unsigned long long>(stuck));
+      static_cast<unsigned long long>(stuck),
+      static_cast<unsigned long long>(computations->value() -
+                                      computations_before),
+      static_cast<unsigned long long>(result_cells->value() -
+                                      result_cells_before));
   return failed_count.load() == 0 ? 0 : 2;
 }

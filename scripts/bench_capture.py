@@ -40,21 +40,24 @@ Commands:
       (X3_CHECK), so every recorded row compares provably identical
       cells.
   capture-server  --build-dir DIR --out FILE --label TXT [--queries N]
-                  [--seed S] [--trees N] [--articles N]
+                  [--seed S] [--trees N] [--articles N] [--cache-kb N]
       Runs the bench_server serving-layer driver single-client (so the
       cache outcome of the seeded query mix is deterministic) and
       writes a BENCH_<n>.json snapshot of the machine-independent
       serving counters: queries, cache exact hits / roll-ups / misses /
-      served, evictions, stuck queries. Wall-clock and latency
+      served, evictions, stuck queries, and the cube computations the
+      misses ran with the cells those produced. --cache-kb sizes the
+      server's cuboid cache (a cold lane: --cache-kb=1 makes most
+      queries miss) and is stored in the config. Wall-clock and latency
       percentiles are recorded informationally.
   check-server  --baseline FILE --build-dir DIR
-      CI regression gate for the serving layer: re-runs bench_server at
-      the scale recorded in the baseline and fails if any deterministic
-      counter (queries, ok, failed, exact_hits, rollup_answers,
-      cache_misses, cache_served, evictions, stuck_queries) changed —
-      the cache/admission/observability wiring must answer the same
-      seeded workload exactly the same way. Wall-clock and percentiles
-      are reported but not gated.
+      CI regression gate for the serving layer: re-runs bench_server
+      with the config recorded in the baseline (scale, seed, cache
+      size; a baseline without cache_kb ran at bench_server's default)
+      and fails if any counter the baseline gates changed — the
+      cache/admission/observability wiring must answer the same seeded
+      workload exactly the same way. Wall-clock and percentiles are
+      reported but not gated.
 """
 
 import argparse
@@ -313,12 +316,14 @@ def cmd_capture_delta(args):
 SERVER_BINARY = "bench_server"
 # Deterministic under --clients=1 with a fixed seed: gated exactly.
 SERVER_GATED = ["queries", "ok", "failed", "exact_hits", "rollup_answers",
-                "cache_misses", "cache_served", "evictions", "stuck_queries"]
+                "cache_misses", "cache_served", "evictions", "stuck_queries",
+                "cube_computations", "cube_result_cells"]
 # Machine/timing dependent: recorded for the report, never gated.
 SERVER_INFORMATIONAL = ["wall_seconds", "achieved_qps", "p50_ms", "p95_ms",
                         "p99_ms", "mean_ms", "cache_hit_rate",
                         "slow_queries"]
-SERVER_DEFAULTS = {"queries": 200, "seed": 1, "trees": 200, "articles": 300}
+SERVER_DEFAULTS = {"queries": 200, "seed": 1, "trees": 200, "articles": 300,
+                   "cache_kb": 256}
 
 
 def run_server(build_dir, config):
@@ -328,7 +333,9 @@ def run_server(build_dir, config):
         sys.exit(f"bench binary not found: {binary} (build it first)")
     cmd = [binary, "--clients=1", "--qps=0", "--threads=1",
            f"--queries={config['queries']}", f"--seed={config['seed']}",
-           f"--trees={config['trees']}", f"--articles={config['articles']}"]
+           f"--trees={config['trees']}", f"--articles={config['articles']}",
+           "--cache-kb={}".format(
+               config.get("cache_kb", SERVER_DEFAULTS["cache_kb"]))]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     if proc.returncode not in (0, 2):
         print(proc.stderr, file=sys.stderr)
@@ -342,7 +349,8 @@ def run_server(build_dir, config):
 
 def cmd_capture_server(args):
     config = {"queries": args.queries, "seed": args.seed,
-              "trees": args.trees, "articles": args.articles}
+              "trees": args.trees, "articles": args.articles,
+              "cache_kb": args.cache_kb}
     print(f"  running {SERVER_BINARY} (single client, {config})...",
           flush=True)
     report = run_server(args.build_dir, config)
@@ -371,8 +379,7 @@ def cmd_check_server(args):
           f"'{snapshot['label']}' ({snapshot['commit']})")
     report = run_server(args.build_dir, config)
     failures = []
-    for counter in SERVER_GATED:
-        base = snapshot["gated_counters"].get(counter)
+    for counter, base in sorted(snapshot["gated_counters"].items()):
         now = report.get(counter)
         if now != base:
             failures.append(f"{counter}: {now} != baseline {base}")
@@ -451,6 +458,8 @@ def main():
     p.add_argument("--trees", type=int, default=SERVER_DEFAULTS["trees"])
     p.add_argument("--articles", type=int,
                    default=SERVER_DEFAULTS["articles"])
+    p.add_argument("--cache-kb", type=int,
+                   default=SERVER_DEFAULTS["cache_kb"])
     p.set_defaults(func=cmd_capture_server)
 
     p = sub.add_parser("check-server")

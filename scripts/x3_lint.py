@@ -64,11 +64,16 @@ Rules (see docs/STATIC_ANALYSIS.md for the rationale):
                      they are exempt.
   server-compute-cube  No direct ComputeCube(...) calls in src/server/:
                      the serving layer answers from the materialized-
-                     cuboid cache (CubeViewStore::AnswerFromViews) and
-                     falls back to compute only on the single designated
-                     cache-miss path in X3Server::RunQuery, which fills
-                     the cache afterwards. Any other call site would
-                     silently bypass admission accounting and caching.
+                     cuboid cache (CubeViewStore::AnswerFromViews); a
+                     single-cuboid miss builds the views it caches
+                     (CubeViewStore::Materialize) and answers from
+                     them. Only full-cube and cache-bypassing misses
+                     compute, on the single designated path in
+                     X3Server::RunQuery, where the downgrade policy
+                     applies and a full-cube miss then caches the
+                     finest view. Any other call site would silently
+                     bypass admission accounting, the downgrade policy
+                     and caching.
   server-raw-log     No ad-hoc logging (printf/puts/perror, std::cout/
                      cerr/clog) in src/server/ outside query_log.*: a
                      serving-layer event either belongs in the
@@ -131,7 +136,7 @@ RAW_MUTEX = re.compile(
     r"condition_variable(?:_any)?\b|"
     r"(?:lock_guard|unique_lock|scoped_lock|shared_lock)\b)")
 # The serving layer must answer through the cuboid cache; ComputeCube is
-# reserved for the one annotated cache-miss fallback.
+# reserved for the one annotated full-cube / cache-bypass miss path.
 SERVER_COMPUTE_CUBE = re.compile(r"(?<![\w:.])ComputeCube\s*\(")
 # Ad-hoc logging in the serving layer: serving events go through
 # QueryLog, metrics, or X3_LOG (qid-prefixed), never bare stdio streams.
@@ -286,7 +291,8 @@ class Linter:
                 self.report(path, lineno, "server-compute-cube",
                             "direct ComputeCube in src/server/; serve from "
                             "the cuboid cache and leave compute to the "
-                            "annotated cache-miss path in X3Server::RunQuery",
+                            "annotated full-cube/bypass miss path in "
+                            "X3Server::RunQuery",
                             raw)
             if (rel.startswith("src/server/")
                     and not rel.startswith("src/server/query_log.")

@@ -1,6 +1,7 @@
 #include "cube/view_store.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "util/logging.h"
 
@@ -20,49 +21,78 @@ const char* ViewStrategyToString(ViewStrategy s) {
   return "?";
 }
 
-Status CubeViewStore::Materialize(CuboidId cuboid, bool with_fact_ids) {
-  View view;
-  view.with_fact_ids = with_fact_ids;
-  view.present = lattice_->PresentAxes(cuboid);
-  view.states = lattice_->Decode(cuboid);
-
-  std::vector<std::vector<ValueId>> lists(view.present.size());
+Status CubeViewStore::FoldFacts(View* view, size_t first_fact,
+                                ExecutionContext* ctx,
+                                uint64_t* cells_touched) const {
+  std::vector<std::vector<ValueId>> lists(view->present.size());
   std::vector<size_t> idx;
-  std::vector<ValueId> tuple(view.present.size());
+  std::vector<ValueId> tuple(view->present.size());
   static const std::vector<ValueId> kNullList{kInvalidValueId};
 
-  for (size_t f = 0; f < facts_->size(); ++f) {
+  for (size_t f = first_fact; f < facts_->size(); ++f) {
+    if (ctx != nullptr) X3_RETURN_IF_ERROR(ctx->Poll());
     // Value-or-null list per present axis (null-value groups keep
     // coverage-dropping facts visible to later roll-ups).
-    for (size_t i = 0; i < view.present.size(); ++i) {
-      size_t axis = view.present[i];
-      facts_->AdmittedValues(axis, f, view.states[axis], &lists[i]);
+    for (size_t i = 0; i < view->present.size(); ++i) {
+      size_t axis = view->present[i];
+      facts_->AdmittedValues(axis, f, view->states[axis], &lists[i]);
       if (lists[i].empty()) lists[i] = kNullList;
     }
-    idx.assign(view.present.size(), 0);
+    idx.assign(view->present.size(), 0);
     for (;;) {
-      for (size_t i = 0; i < view.present.size(); ++i) {
+      for (size_t i = 0; i < view->present.size(); ++i) {
         tuple[i] = lists[i][idx[i]];
       }
-      ViewCell& cell = view.cells[PackGroupKey(tuple)];
+      ViewCell& cell = view->cells[PackGroupKey(tuple)];
       cell.agg.Update(facts_->measure(f));
-      if (with_fact_ids) {
+      if (view->with_fact_ids) {
         // Ascending f: hits FactIdSet's append fast path, and a fact
         // enters a given cell at most once per odometer walk.
         cell.facts.Add(static_cast<uint32_t>(f));
       }
+      if (cells_touched != nullptr) ++*cells_touched;
       size_t i = 0;
-      for (; i < view.present.size(); ++i) {
+      for (; i < view->present.size(); ++i) {
         if (++idx[i] < lists[i].size()) break;
         idx[i] = 0;
       }
-      if (i == view.present.size()) break;
+      if (i == view->present.size()) break;
     }
   }
-  // Publish under the lock; the whole build above ran on private
-  // state.
+  return Status::OK();
+}
+
+Status CubeViewStore::Materialize(
+    const std::vector<CuboidId>& cuboids, bool with_fact_ids,
+    ExecutionContext* ctx,
+    std::unordered_map<GroupKey, AggregateState>* answer,
+    ViewComputeStats* stats) {
+  std::vector<View> built(cuboids.size());
+  for (size_t v = 0; v < cuboids.size(); ++v) {
+    View& view = built[v];
+    view.with_fact_ids = with_fact_ids;
+    view.present = lattice_->PresentAxes(cuboids[v]);
+    view.states = lattice_->Decode(cuboids[v]);
+    X3_RETURN_IF_ERROR(FoldFacts(&view, 0, ctx, nullptr));
+    if (stats != nullptr) {
+      stats->facts_scanned += facts_->size();
+      stats->cells_built += view.cells.size();
+    }
+  }
+  // Poll() reads the clock only every kDeadlineStride calls: a deadline
+  // that expired since then must still stop the publish.
+  if (ctx != nullptr) X3_RETURN_IF_ERROR(ctx->CheckInterrupted());
+  if (answer != nullptr && !built.empty()) {
+    std::vector<size_t> every_position(built.back().present.size());
+    std::iota(every_position.begin(), every_position.end(), 0);
+    *answer = Project(built.back(), every_position, /*needs_ids=*/false,
+                      stats);
+  }
+  // Publish under the lock; every build above ran on private state.
   MutexLock lock(&mu_);
-  views_[cuboid] = std::move(view);
+  for (size_t v = 0; v < cuboids.size(); ++v) {
+    views_[cuboids[v]] = std::move(built[v]);
+  }
   return Status::OK();
 }
 
@@ -129,42 +159,10 @@ Status CubeViewStore::ApplyDelta(CuboidId cuboid, size_t first_new_fact,
     return Status::NotFound("no materialized view for cuboid " +
                             std::to_string(cuboid));
   }
-  View& view = it->second;
-
-  std::vector<std::vector<ValueId>> lists(view.present.size());
-  std::vector<size_t> idx;
-  std::vector<ValueId> tuple(view.present.size());
-  static const std::vector<ValueId> kNullList{kInvalidValueId};
-
   // Same walk as Materialize, restricted to the delta facts: every new
   // fact lands in exactly the cells a full rebuild would put it in, so
   // the patched view equals a fresh materialization cell for cell.
-  for (size_t f = first_new_fact; f < facts_->size(); ++f) {
-    for (size_t i = 0; i < view.present.size(); ++i) {
-      size_t axis = view.present[i];
-      facts_->AdmittedValues(axis, f, view.states[axis], &lists[i]);
-      if (lists[i].empty()) lists[i] = kNullList;
-    }
-    idx.assign(view.present.size(), 0);
-    for (;;) {
-      for (size_t i = 0; i < view.present.size(); ++i) {
-        tuple[i] = lists[i][idx[i]];
-      }
-      ViewCell& cell = view.cells[PackGroupKey(tuple)];
-      cell.agg.Update(facts_->measure(f));
-      if (view.with_fact_ids) {
-        cell.facts.Add(static_cast<uint32_t>(f));
-      }
-      if (cells_touched != nullptr) ++*cells_touched;
-      size_t i = 0;
-      for (; i < view.present.size(); ++i) {
-        if (++idx[i] < lists[i].size()) break;
-        idx[i] = 0;
-      }
-      if (i == view.present.size()) break;
-    }
-  }
-  return Status::OK();
+  return FoldFacts(&it->second, first_new_fact, nullptr, cells_touched);
 }
 
 bool CubeViewStore::IsLndDescendant(const View& view, CuboidId target,
@@ -198,6 +196,45 @@ bool CubeViewStore::IsLndDescendant(const View& view, CuboidId target,
   return true;
 }
 
+std::unordered_map<GroupKey, AggregateState> CubeViewStore::Project(
+    const View& view, const std::vector<size_t>& kept, bool needs_ids,
+    ViewComputeStats* stats) const {
+  std::unordered_map<GroupKey, AggregateState> out;
+  std::unordered_map<GroupKey, FactIdSet> fact_sets;
+  for (const auto& [key, cell] : view.cells) {
+    if (stats != nullptr) ++stats->view_cells_scanned;
+    GroupKey target_key;
+    target_key.reserve(kept.size() * 4);
+    bool has_null = false;
+    for (size_t pos : kept) {
+      std::string_view field(key.data() + pos * 4, 4);
+      if (field == std::string_view("\xFF\xFF\xFF\xFF", 4)) {
+        has_null = true;
+        break;
+      }
+      target_key.append(field);
+    }
+    if (has_null) continue;
+    // Dropped-axis null cells DO contribute (the fact belongs to the
+    // target group even though the dropped axis was missing).
+    if (needs_ids) {
+      // Set union deduplicates facts reaching the target group from
+      // several source cells (the disjointness repair, §3.6).
+      fact_sets[target_key].UnionWith(cell.facts);
+    } else {
+      out[target_key].Merge(cell.agg);
+    }
+  }
+  for (auto& [key, set] : fact_sets) {
+    AggregateState& agg = out[key];
+    set.ForEach([&](uint32_t f) {
+      agg.Update(facts_->measure(f));
+      if (stats != nullptr) ++stats->facts_scanned;
+    });
+  }
+  return out;
+}
+
 Result<std::unordered_map<GroupKey, AggregateState>>
 CubeViewStore::AnswerFromViews(CuboidId target, AggregateFunction fn,
                                const LatticeProperties* properties,
@@ -206,8 +243,6 @@ CubeViewStore::AnswerFromViews(CuboidId target, AggregateFunction fn,
   ViewComputeStats local;
   ViewComputeStats* st = stats != nullptr ? stats : &local;
   *st = ViewComputeStats{};
-
-  std::unordered_map<GroupKey, AggregateState> out;
 
   // View selection and roll-up hold mu_ (`best` points into views_).
   MutexLock lock(&mu_);
@@ -255,43 +290,7 @@ CubeViewStore::AnswerFromViews(CuboidId target, AggregateFunction fn,
       st->strategy = best_needs_ids ? ViewStrategy::kRollupWithIds
                                     : ViewStrategy::kRollup;
     }
-
-    // Roll up: project each non-null view cell onto the kept fields.
-    std::unordered_map<GroupKey, FactIdSet> fact_sets;
-    for (const auto& [key, cell] : best->cells) {
-      ++st->view_cells_scanned;
-      GroupKey target_key;
-      target_key.reserve(best_kept.size() * 4);
-      bool has_null = false;
-      for (size_t pos : best_kept) {
-        std::string_view field(key.data() + pos * 4, 4);
-        if (field == std::string_view("\xFF\xFF\xFF\xFF", 4)) {
-          has_null = true;
-          break;
-        }
-        target_key.append(field);
-      }
-      if (has_null) continue;
-      // Dropped-axis null cells DO contribute (the fact belongs to the
-      // target group even though the dropped axis was missing).
-      if (best_needs_ids) {
-        // Set union deduplicates facts reaching the target group from
-        // several source cells (the disjointness repair, §3.6).
-        fact_sets[target_key].UnionWith(cell.facts);
-      } else {
-        out[target_key].Merge(cell.agg);
-      }
-    }
-    if (best_needs_ids) {
-      for (auto& [key, set] : fact_sets) {
-        AggregateState& agg = out[key];
-        set.ForEach([&](uint32_t f) {
-          agg.Update(facts_->measure(f));
-          ++st->facts_scanned;
-        });
-      }
-    }
-    return out;
+    return Project(*best, best_kept, best_needs_ids, st);
   }
   return Status::NotFound("no usable view for cuboid " +
                           std::to_string(target));

@@ -11,6 +11,7 @@
 #include "cube/fact_table.h"
 #include "relax/cube_lattice.h"
 #include "schema/summarizability.h"
+#include "util/exec.h"
 #include "util/fact_id_set.h"
 #include "util/result.h"
 #include "util/thread_annotations.h"
@@ -35,12 +36,14 @@ enum class ViewStrategy : uint8_t {
 
 const char* ViewStrategyToString(ViewStrategy s);
 
-/// Statistics for one Answer() call.
+/// Statistics for one Answer() or Materialize() call.
 struct ViewComputeStats {
   ViewStrategy strategy = ViewStrategy::kBase;
   CuboidId source_view = 0;
   uint64_t view_cells_scanned = 0;
   uint64_t facts_scanned = 0;
+  /// Cells of the views Materialize built (null-value groups included).
+  uint64_t cells_built = 0;
 };
 
 /// Materialized intermediate cube results (§3.6).
@@ -76,7 +79,25 @@ class CubeViewStore {
   /// Materializes `cuboid` from the base table (with null-value groups;
   /// fact ids retained when `with_fact_ids`). Re-materializing replaces
   /// the view.
-  Status Materialize(CuboidId cuboid, bool with_fact_ids) X3_EXCLUDES(mu_);
+  Status Materialize(CuboidId cuboid, bool with_fact_ids) X3_EXCLUDES(mu_) {
+    return Materialize(std::vector<CuboidId>{cuboid}, with_fact_ids,
+                       nullptr);
+  }
+
+  /// Materializes each of `cuboids` as above and publishes them together
+  /// once every one is built. `ctx` (may be null) is polled once per
+  /// fact and checked once more before publishing: when it reports
+  /// cancellation or an expired deadline, no view is published and that
+  /// status is returned. `answer` (may be null) receives the last
+  /// cuboid's cells, projected from its new view exactly as
+  /// AnswerFromViews projects an exact hit, before the view is
+  /// published, so a concurrent eviction cannot empty it. `stats` (may
+  /// be null) accumulates facts_scanned and cells_built.
+  Status Materialize(const std::vector<CuboidId>& cuboids,
+                     bool with_fact_ids, ExecutionContext* ctx,
+                     std::unordered_map<GroupKey, AggregateState>* answer =
+                         nullptr,
+                     ViewComputeStats* stats = nullptr) X3_EXCLUDES(mu_);
 
   /// Drops the materialized view of `cuboid`; false when it was not
   /// materialized. The serving layer's cuboid cache uses this as its
@@ -140,8 +161,8 @@ class CubeViewStore {
   /// Answer() restricted to the materialized views: exact or roll-up
   /// strategies only, NotFound when no usable view exists. The base
   /// table is never scanned, so a NotFound caller can decide for itself
-  /// how a miss is computed (the serving layer routes it through
-  /// ComputeCube so misses fill the cache).
+  /// how a miss is answered (the serving layer materializes the views
+  /// its cache keeps and answers from them).
   Result<std::unordered_map<GroupKey, AggregateState>> AnswerFromViews(
       CuboidId target, AggregateFunction fn,
       const LatticeProperties* properties = nullptr,
@@ -171,6 +192,21 @@ class CubeViewStore {
   bool IsLndDescendant(const View& view, CuboidId target,
                        std::vector<size_t>* kept_positions,
                        std::vector<size_t>* dropped_axes) const;
+
+  /// Folds facts [first_fact, facts_->size()) into `view`: the
+  /// null-value-group odometer walk shared by Materialize and
+  /// ApplyDelta. Polls `ctx` (may be null) once per fact; counts cell
+  /// updates into `cells_touched` (may be null).
+  Status FoldFacts(View* view, size_t first_fact, ExecutionContext* ctx,
+                   uint64_t* cells_touched) const;
+
+  /// Projects `view`'s cells onto the key fields at `kept` positions,
+  /// skipping cells with a null kept field; merges aggregates, or with
+  /// `needs_ids` re-aggregates the union of the fact ids. An exact
+  /// projection keeps every position.
+  std::unordered_map<GroupKey, AggregateState> Project(
+      const View& view, const std::vector<size_t>& kept, bool needs_ids,
+      ViewComputeStats* stats) const;
 
   /// Approximate memory of one view (caller holds mu_; the view itself
   /// is all the state touched).

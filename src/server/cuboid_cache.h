@@ -25,7 +25,7 @@ namespace x3 {
 ///
 /// Eviction calls CubeViewStore::Evict on the victim. A concurrent
 /// AnswerFromViews either still sees the view (the store is internally
-/// locked per call) or misses and recomputes; both are correct, so no
+/// locked per call) or misses and rebuilds it; both are correct, so no
 /// cross-object lock is needed.
 ///
 /// Thread-safe. Lock order: mu_ (rank kServerCache) is held across the

@@ -68,10 +68,12 @@ struct QueryLogRecord {
 
   /// Latency exceeded X3ServerOptions::slow_query_threshold_seconds.
   bool slow = false;
-  /// Slow-lane payload: the full ExplainCubePlanWithActuals rendering,
-  /// captured only when the query was slow AND computed a cube (the
-  /// plan actuals are what explains a slow compute; a slow cache hit
-  /// has its stages breakdown instead).
+  /// Slow-lane payload, captured only when the query was slow AND
+  /// missed: the full ExplainCubePlanWithActuals rendering when it
+  /// computed a cube (the plan actuals are what explains a slow
+  /// compute), a one-line summary (cuboid, facts scanned, cells built,
+  /// ms) when a single-cuboid miss built views. A slow cache hit has its
+  /// stages breakdown instead.
   std::string slow_explain;
 };
 

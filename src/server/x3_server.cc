@@ -227,7 +227,8 @@ void X3Server::RunTask(const std::shared_ptr<Ticket>& ticket,
       "Cuboids answered by safe roll-up from a cached finer view");
   static Counter* cache_misses = registry.GetCounter(
       "x3_server_cache_misses_total",
-      "Queries that fell back to ComputeCube");
+      "Queries no cached view could answer (views built or cube "
+      "computed)");
   static Counter* cache_served = registry.GetCounter(
       "x3_server_cache_served_total",
       "Queries answered entirely from cached views");
@@ -415,23 +416,46 @@ std::shared_ptr<const X3Server::ShapeSnapshot> X3Server::PinSnapshot(
   return shape->snapshot;
 }
 
-void X3Server::EnsureMaterialized(
+Status X3Server::EnsureMaterialized(
     ShapeState* shape, const std::shared_ptr<const ShapeSnapshot>& snapshot,
-    CuboidId cuboid) {
-  if (snapshot->views->Contains(cuboid)) return;
+    std::optional<CuboidId> target, ExecutionContext* ctx, CellMap* answer,
+    ViewComputeStats* stats) {
+  // The finest cuboid is the universal donor — TDOPTALL's roll-up
+  // property means every coarser cuboid rolls up from it (with fact ids
+  // when disjointness is unproven) — plus the requested cuboid itself
+  // for exact-hit repeats.
+  CuboidId finest = snapshot->prepared->lattice.FinestCuboid();
+  std::vector<CuboidId> build;
+  if (target != finest && !snapshot->views->Contains(finest)) {
+    build.push_back(finest);
+  }
+  if (target.has_value()) build.push_back(*target);
+  if (build.empty()) return Status::OK();
+
+  ViewComputeStats local;
+  ViewComputeStats* st = stats != nullptr ? stats : &local;
+  ScopedStageTimer timer(ctx->stats(), "cache-fill", ctx->tracer());
   // Fact ids repair disjointness for later roll-ups; when the property
   // map proves disjointness everywhere the id-less views suffice and
   // cost far less memory (§3.6's trade-off).
-  bool with_ids = !shape->disjoint_everywhere;
-  if (!snapshot->views->Materialize(cuboid, with_ids).ok()) return;
-  size_t bytes = snapshot->views->ViewApproxBytes(cuboid);
+  Status built = snapshot->views->Materialize(
+      build, !shape->disjoint_everywhere, ctx, answer, st);
+  timer.AddRows(st->cells_built);
+  X3_RETURN_IF_ERROR(built);
+  std::vector<size_t> bytes;
+  for (CuboidId cuboid : build) {
+    bytes.push_back(snapshot->views->ViewApproxBytes(cuboid));
+  }
   // Register with the cache only while this snapshot is still current:
-  // the swap in MaintainShape and this insert are both under shape->mu,
-  // so a retired snapshot's store never (re)enters the cache after its
-  // entries were dropped.
+  // the swap in MaintainShape and these inserts are both under
+  // shape->mu, so a retired snapshot's store never (re)enters the cache
+  // after its entries were dropped.
   MutexLock lock(&shape->mu);
-  if (shape->snapshot != snapshot) return;
-  cache_.Insert(snapshot->views.get(), cuboid, bytes);
+  if (shape->snapshot != snapshot) return Status::OK();
+  for (size_t i = 0; i < build.size(); ++i) {
+    cache_.Insert(snapshot->views.get(), build[i], bytes[i]);
+  }
+  return Status::OK();
 }
 
 Result<ServerAnswer> X3Server::RunQuery(const ServerRequest& request,
@@ -569,7 +593,36 @@ Result<ServerAnswer> X3Server::RunQuery(const ServerRequest& request,
     }
   }
 
-  if (!all_from_cache) {
+  auto past_slow_threshold = [&] {
+    return options_.slow_query_threshold_seconds > 0 &&
+           inflight->started.ElapsedSeconds() >=
+               options_.slow_query_threshold_seconds;
+  };
+  if (!all_from_cache && request.use_cache && request.target.has_value()) {
+    // A single-cuboid miss builds the views the cache keeps and answers
+    // from the target's: a per-cuboid evaluation from base, so no
+    // lattice compute runs and no downgrade applies.
+    inflight->stage.store("cache-fill", std::memory_order_relaxed);
+    CellMap target_cells;
+    ViewComputeStats fill;
+    X3_RETURN_IF_ERROR(EnsureMaterialized(shape.get(), snapshot,
+                                          request.target, &ctx,
+                                          &target_cells, &fill));
+    if (past_slow_threshold()) {
+      std::optional<StageTiming> t = ctx.stats()->Find("cache-fill");
+      record->slow_explain = StringPrintf(
+          "view-built miss: cuboid %llu from base, %llu facts scanned, "
+          "%llu cells built, %.3f ms",
+          static_cast<unsigned long long>(*request.target),
+          static_cast<unsigned long long>(fill.facts_scanned),
+          static_cast<unsigned long long>(fill.cells_built),
+          t.has_value() ? t->seconds * 1e3 : 0.0);
+    }
+    cells.emplace_back(*request.target, std::move(target_cells));
+    answer.computed = true;
+    answer.algorithm_used = CubeAlgorithm::kReference;
+    record->algorithm_used = CubeAlgorithm::kReference;
+  } else if (!all_from_cache) {
     answer.exact_hits = 0;
     answer.rollup_answers = 0;
     inflight->stage.store("compute", std::memory_order_relaxed);
@@ -594,11 +647,9 @@ Result<ServerAnswer> X3Server::RunQuery(const ServerRequest& request,
     CubeComputeStats stats;
     X3_ASSIGN_OR_RETURN(
         CubeResult cube,
-        ComputeCube(algorithm, facts, lattice, compute,  // x3-lint: allow(server-compute-cube) -- the designated cache-miss path
+        ComputeCube(algorithm, facts, lattice, compute,  // x3-lint: allow(server-compute-cube) -- the full-cube and cache-bypass miss path
                     &stats));
-    if (options_.slow_query_threshold_seconds > 0 &&
-        inflight->started.ElapsedSeconds() >=
-            options_.slow_query_threshold_seconds) {
+    if (past_slow_threshold()) {
       // Slow lane: this query is already past the threshold, so RunTask
       // will mark its record slow — attach the full plan-with-actuals
       // rendering while the cube is still alive. The plan is rebuilt
@@ -617,15 +668,9 @@ Result<ServerAnswer> X3Server::RunQuery(const ServerRequest& request,
     answer.algorithm_used = algorithm;
     if (request.use_cache) {
       inflight->stage.store("cache-fill", std::memory_order_relaxed);
-      // Cache fill: the finest cuboid is the universal donor —
-      // TDOPTALL's roll-up property means every coarser cuboid rolls
-      // up from it (with fact ids when disjointness is unproven) —
-      // plus the requested cuboid itself for exact-hit repeats.
-      EnsureMaterialized(shape.get(), snapshot, lattice.FinestCuboid());
-      if (request.target.has_value() &&
-          *request.target != lattice.FinestCuboid()) {
-        EnsureMaterialized(shape.get(), snapshot, *request.target);
-      }
+      X3_RETURN_IF_ERROR(EnsureMaterialized(shape.get(), snapshot,
+                                            std::nullopt, &ctx, nullptr,
+                                            nullptr));
     }
   }
 
@@ -902,7 +947,8 @@ StatuszReport X3Server::Statusz() const {
           ->value();
   r.cache_misses = registry
                        .GetCounter("x3_server_cache_misses_total",
-                                   "Queries that fell back to ComputeCube")
+                                   "Queries no cached view could answer "
+                                   "(views built or cube computed)")
                        ->value();
   uint64_t served =
       registry

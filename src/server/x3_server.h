@@ -83,6 +83,11 @@ struct ServerRequest {
   /// The cuboid (relaxation point) wanted; nullopt = the full cube
   /// (every cuboid of the lattice). Validated against the lattice.
   std::optional<CuboidId> target;
+  /// The algorithm a miss computes the lattice with: full-cube misses
+  /// and `use_cache = false` requests, after the downgrade policy (an
+  /// OPT variant whose plan has unproven-safe steps runs as its CUST
+  /// counterpart). A single-cuboid miss through the cache builds views
+  /// instead and does not use it.
   CubeAlgorithm algorithm = CubeAlgorithm::kTDCust;
   /// Iceberg threshold applied to the answer (max with the query's own
   /// HAVING threshold). Applied after caching: the cache always holds
@@ -134,12 +139,15 @@ struct ServerAnswer {
   /// full-cube request.
   std::vector<std::pair<CuboidId, CellMap>> cuboids;
   /// How the cuboids were answered: exact view hits, safe roll-ups
-  /// from a finer view, or (`computed`) a ComputeCube run.
+  /// from a finer view, or (`computed`) a miss — a single-cuboid miss
+  /// built views from base, any other miss ran ComputeCube.
   uint64_t exact_hits = 0;
   uint64_t rollup_answers = 0;
   bool computed = false;
-  /// The algorithm that actually ran on the miss path (after any
-  /// safety downgrade); meaningless when `computed` is false.
+  /// What actually ran on the miss path: kReference (the per-cuboid
+  /// evaluation from base) for a single-cuboid miss that built views,
+  /// else the computed algorithm after any safety downgrade.
+  /// Meaningless when `computed` is false.
   CubeAlgorithm algorithm_used = CubeAlgorithm::kTDCust;
   uint64_t num_cuboids_in_lattice = 0;
   double latency_seconds = 0;
@@ -216,8 +224,12 @@ struct StatuszReport {
 /// admission-controlled through a shared MemoryBudget, bounded by
 /// per-query deadlines and cancellable mid-flight, and answered from
 /// an LRU cache of materialized cuboids whenever CubeViewStore can
-/// prove an exact hit or a safe roll-up — falling back to ComputeCube
-/// (which then fills the cache) otherwise.
+/// prove an exact hit or a safe roll-up. On a miss for one cuboid the
+/// server builds the views the cache keeps (the finest cuboid's and
+/// the target's) and answers from the target's view; a full-cube miss
+/// runs ComputeCube with the requested algorithm after the downgrade
+/// policy and then caches the finest view; a request with
+/// `use_cache = false` always computes and caches nothing.
 ///
 /// Query shapes — the compiled pattern, its lattice, the materialized
 /// fact table, the property map and the per-shape CubeViewStore — are
@@ -419,15 +431,22 @@ class X3Server {
       const LatticeProperties* properties, ExecutionContext* ctx)
       X3_EXCLUDES(mu_);
 
-  /// Materializes `cuboid` into the snapshot's view store (if absent)
-  /// and accounts it with the LRU cache — only while `snapshot` is
-  /// still the shape's current one. A reader racing a snapshot swap
-  /// keeps its (now-stale) view for its own query but never registers
-  /// it with the cache, so the cache never holds keys into a store
-  /// whose snapshot has been retired.
-  void EnsureMaterialized(ShapeState* shape,
-                          const std::shared_ptr<const ShapeSnapshot>& snapshot,
-                          CuboidId cuboid);
+  /// A miss's cache fill, timed as stage "cache-fill": builds the
+  /// finest cuboid's view unless it is already held or is `target`,
+  /// then `target`'s view (when set), publishes them together into the
+  /// snapshot's view store and accounts them with the LRU cache in that
+  /// order — only while `snapshot` is still the shape's current one. A
+  /// reader racing a snapshot swap keeps its (now-stale) views for its
+  /// own query but never registers them with the cache, so the cache
+  /// never holds keys into a store whose snapshot has been retired.
+  /// `answer` (may be null) receives `target`'s cells read from the
+  /// view just built; `stats` (may be null) counts facts scanned and
+  /// cells built. Returns kCancelled / kDeadlineExceeded when `ctx`
+  /// trips during the build, with nothing published or cached.
+  Status EnsureMaterialized(
+      ShapeState* shape, const std::shared_ptr<const ShapeSnapshot>& snapshot,
+      std::optional<CuboidId> target, ExecutionContext* ctx, CellMap* answer,
+      ViewComputeStats* stats);
 
   /// Delta-maintains one shape after a batch committed at `commit_lsn`
   /// grew the database past `first_new_node`: clones the fact table,

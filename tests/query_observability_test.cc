@@ -448,6 +448,9 @@ TEST(QueryObservabilityTest, StatuszSeesInflightQueryWithStage) {
 }
 
 TEST(QueryObservabilityTest, TraceSpansCarryTheQueryId) {
+#if !defined(X3_ENABLE_TRACING)
+  GTEST_SKIP() << "trace spans are compiled out (X3_ENABLE_TRACING off)";
+#endif
   ServerFixture fx;
   Tracer& tracer = Tracer::Global();
   tracer.Clear();
@@ -492,8 +495,38 @@ TEST(QueryObservabilityTest, RecordsCarryCacheOutcomeAndStages) {
   ASSERT_EQ(records.size(), 2u);
   EXPECT_TRUE(records[0].computed);
   EXPECT_FALSE(records[0].stages.empty());
+  // The targeted miss built its views from base under "cache-fill".
+  EXPECT_EQ(records[0].algorithm_used, CubeAlgorithm::kReference);
+  EXPECT_FALSE(records[0].downgraded);
+  bool saw_fill = false;
+  for (const QueryStageMs& stage : records[0].stages) {
+    EXPECT_NE(stage.label, "compute");
+    if (stage.label == "cache-fill") {
+      saw_fill = true;
+      EXPECT_GT(stage.rows, 0u) << "rows = cells built";
+    }
+  }
+  EXPECT_TRUE(saw_fill);
   EXPECT_FALSE(records[1].computed);
   EXPECT_GT(records[1].exact_hits + records[1].rollup_answers, 0u);
+}
+
+TEST(QueryObservabilityTest, SlowViewBuiltMissCarriesOneLineSummary) {
+  ServerFixture fx;
+  X3ServerOptions options;
+  options.num_threads = 1;
+  options.slow_query_threshold_seconds = 1e-9;  // every query is slow
+  X3Server server(fx.db.get(), options);
+  EXPECT_TRUE(server.Execute(fx.Request("cold")).ok());
+  std::vector<QueryLogRecord> records = server.query_log().Snapshot();
+  ASSERT_EQ(records.size(), 1u);
+  const std::string& explain = records[0].slow_explain;
+  EXPECT_TRUE(records[0].slow);
+  EXPECT_NE(explain.find("cuboid 0"), std::string::npos) << explain;
+  EXPECT_NE(explain.find("facts scanned"), std::string::npos) << explain;
+  EXPECT_NE(explain.find("cells built"), std::string::npos) << explain;
+  EXPECT_NE(explain.find(" ms"), std::string::npos) << explain;
+  EXPECT_EQ(explain.find('\n'), std::string::npos) << explain;
 }
 
 }  // namespace

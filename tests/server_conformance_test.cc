@@ -14,6 +14,7 @@
 #include "gen/workload.h"
 #include "schema/dtd_parser.h"
 #include "server/x3_server.h"
+#include "util/metrics.h"
 #include "util/random.h"
 #include "x3/engine.h"
 
@@ -39,6 +40,30 @@ struct ShapeRef {
         facts(std::move(facts_in)),
         reference(std::move(reference_in)) {}
 };
+
+/// Prepares `query` over `db`, infers its properties from `dtd` and
+/// computes its kReference cube.
+std::unique_ptr<ShapeRef> BuildShapeRef(Database* db, CubeQuery query,
+                                        const std::string& dtd,
+                                        const std::string& fact_tag) {
+  auto schema = ParseDtd(dtd);
+  EXPECT_TRUE(schema.ok());
+  X3Engine engine(db);
+  auto prepared = engine.Prepare(query);
+  EXPECT_TRUE(prepared.ok());
+  auto properties =
+      InferLatticeProperties(*schema, prepared->lattice, fact_tag);
+  EXPECT_TRUE(properties.ok());
+  CubeComputeOptions options;
+  options.aggregate = query.aggregate;
+  auto reference = ComputeCube(CubeAlgorithm::kReference, prepared->facts,
+                               prepared->lattice, options);
+  EXPECT_TRUE(reference.ok());
+  return std::make_unique<ShapeRef>(
+      std::move(query), std::move(*properties),
+      std::move(prepared->lattice), std::move(prepared->facts),
+      std::move(*reference));
+}
 
 /// The shared multi-tenant corpus: Treebank trees and DBLP articles in
 /// ONE database, with per-shape references. Built once for the suite
@@ -73,36 +98,14 @@ class Corpus {
     TreebankConfig config = MakeTreebankConfig(setting);
     TreebankGenerator treebank_gen(config);
     EXPECT_TRUE(treebank_gen.LoadInto(db_.get(), setting.num_trees).ok());
-    treebank_ = BuildShape(MakeTreebankQuery(config),
-                           treebank_gen.MatchingDtd(), TreebankRootTag());
+    treebank_ = BuildShapeRef(db_.get(), MakeTreebankQuery(config),
+                              treebank_gen.MatchingDtd(), TreebankRootTag());
 
     DblpConfig dblp_config;
     dblp_config.seed = 77;
     DblpGenerator dblp_gen(dblp_config);
     EXPECT_TRUE(dblp_gen.LoadInto(db_.get(), 250).ok());
-    dblp_ = BuildShape(MakeDblpQuery(), DblpDtd(), "article");
-  }
-
-  std::unique_ptr<ShapeRef> BuildShape(CubeQuery query,
-                                       const std::string& dtd,
-                                       const std::string& fact_tag) {
-    auto schema = ParseDtd(dtd);
-    EXPECT_TRUE(schema.ok());
-    X3Engine engine(db_.get());
-    auto prepared = engine.Prepare(query);
-    EXPECT_TRUE(prepared.ok());
-    auto properties =
-        InferLatticeProperties(*schema, prepared->lattice, fact_tag);
-    EXPECT_TRUE(properties.ok());
-    CubeComputeOptions options;
-    options.aggregate = query.aggregate;
-    auto reference = ComputeCube(CubeAlgorithm::kReference, prepared->facts,
-                                 prepared->lattice, options);
-    EXPECT_TRUE(reference.ok());
-    return std::make_unique<ShapeRef>(
-        std::move(query), std::move(*properties),
-        std::move(prepared->lattice), std::move(prepared->facts),
-        std::move(*reference));
+    dblp_ = BuildShapeRef(db_.get(), MakeDblpQuery(), DblpDtd(), "article");
   }
 
   std::unique_ptr<Database> db_;
@@ -405,6 +408,262 @@ TEST(ServerConformanceTest, TicketWaitConsumesOnce) {
   auto again = ticket->Wait();
   ASSERT_FALSE(again.ok());
   EXPECT_EQ(again.status().code(), StatusCode::kInternal);
+}
+
+// --- Miss path: a single-cuboid miss builds the views it caches, a
+// full-cube miss computes the lattice ---
+
+uint64_t CounterValue(const char* name) {
+  return MetricRegistry::Global().GetCounter(name, "")->value();
+}
+
+QueryLogRecord RecordOf(const X3Server& server, uint64_t qid) {
+  for (QueryLogRecord& record : server.query_log().Snapshot()) {
+    if (record.qid == qid) return record;
+  }
+  ADD_FAILURE() << "no query-log record for qid " << qid;
+  return {};
+}
+
+const QueryStageMs* FindStage(const QueryLogRecord& record,
+                              const std::string& label) {
+  for (const QueryStageMs& stage : record.stages) {
+    if (stage.label == label) return &stage;
+  }
+  return nullptr;
+}
+
+/// For every cuboid of `shape`, with and without an iceberg threshold,
+/// a targeted miss on a flushed cache runs no ComputeCube and no
+/// downgrade, reports kReference, fills exactly the finest and target
+/// views and answers cell for cell like the reference.
+void ExpectTargetedMissesBuildViews(Database* db, const ShapeRef& shape,
+                                    const std::string& name) {
+  X3ServerOptions options;
+  options.num_threads = 1;
+  X3Server server(db, options);
+  const CuboidId finest = shape.lattice.FinestCuboid();
+  for (int64_t min_count : {0, 2}) {
+    for (CuboidId target = 0; target < shape.lattice.num_cuboids();
+         ++target) {
+      std::string context = name + " cuboid " + std::to_string(target) +
+                            " min_count " + std::to_string(min_count);
+      server.FlushCacheForTest();
+      uint64_t computations = CounterValue("x3_cube_computations_total");
+      uint64_t downgrades = CounterValue("x3_server_plan_downgrades_total");
+      ServerRequest request = MakeRequest(shape, target);
+      request.algorithm = CubeAlgorithm::kTDOptAll;  // unsafe: not used
+      request.min_count = min_count;
+      auto miss = server.Execute(std::move(request));
+      ASSERT_TRUE(miss.ok()) << context << ": " << miss.status();
+      EXPECT_TRUE(miss->computed) << context;
+      EXPECT_EQ(miss->algorithm_used, CubeAlgorithm::kReference) << context;
+      EXPECT_EQ(CounterValue("x3_cube_computations_total"), computations)
+          << context;
+      EXPECT_EQ(CounterValue("x3_server_plan_downgrades_total"), downgrades)
+          << context;
+      ExpectAnswerExact(shape, *miss, min_count, context);
+      EXPECT_EQ(server.cache_views(), target == finest ? 1u : 2u) << context;
+      for (CuboidId filled : {finest, target}) {
+        auto hit = server.Execute(MakeRequest(shape, filled));
+        ASSERT_TRUE(hit.ok()) << context;
+        EXPECT_FALSE(hit->computed) << context << ", cuboid " << filled;
+        EXPECT_EQ(hit->exact_hits, 1u) << context << ", cuboid " << filled;
+        ExpectAnswerExact(shape, *hit, 0, context);
+      }
+    }
+  }
+  EXPECT_EQ(server.budget()->used(), 0u) << name;
+}
+
+TEST(ServerMissPathTest, TargetedColdMissesBuildViewsWithoutComputing) {
+  Corpus& corpus = Corpus::Get();
+  ExpectTargetedMissesBuildViews(corpus.db(), corpus.treebank(), "treebank");
+  ExpectTargetedMissesBuildViews(corpus.db(), corpus.dblp(), "dblp");
+}
+
+TEST(ServerMissPathTest, DisjointEverywhereShapeBuildsIdLessViews) {
+  auto db = Database::Open({});
+  ASSERT_TRUE(db.ok());
+  ExperimentSetting setting;
+  setting.num_axes = 3;
+  setting.num_trees = 160;
+  setting.coverage_holds = false;
+  setting.disjointness_holds = true;
+  setting.dense = true;
+  setting.seed = 515;
+  TreebankConfig config = MakeTreebankConfig(setting);
+  TreebankGenerator gen(config);
+  ASSERT_TRUE(gen.LoadInto(db->get(), setting.num_trees).ok());
+  auto shape = BuildShapeRef(db->get(), MakeTreebankQuery(config),
+                             gen.MatchingDtd(), TreebankRootTag());
+  // The server keeps id-less views exactly when this holds.
+  ASSERT_TRUE(shape->properties.DisjointEverywhere(shape->lattice));
+  ExpectTargetedMissesBuildViews(db->get(), *shape, "disjoint treebank");
+}
+
+TEST(ServerMissPathTest, PcadTargetsBuildTheirOwnViews) {
+  TreebankConfig config;  // as in cube_test's structural-relaxation sweep
+  config.seed = 72;
+  config.num_axes = 3;
+  config.value_cardinality = 8;
+  config.nesting_probability = 0.4;
+  config.repeat_probability = 0.2;
+  config.missing_probability = 0.1;
+  TreebankGenerator gen(config);
+  auto db = Database::Open({});
+  ASSERT_TRUE(db.ok());
+  ASSERT_TRUE(gen.LoadInto(db->get(), 200).ok());
+  auto shape = BuildShapeRef(
+      db->get(),
+      MakeTreebankQuery(config, RelaxationSet::Of({RelaxationType::kLND,
+                                                   RelaxationType::kPCAD})),
+      gen.MatchingDtd(), TreebankRootTag());
+  ASSERT_EQ(shape->lattice.num_cuboids(), 27u);
+  ExpectTargetedMissesBuildViews(db->get(), *shape, "pcad treebank");
+
+  // Views roll up only across LND edges: with just the finest view
+  // cached, a cuboid holding an axis at its PC-AD state still misses.
+  X3Server server(db->get(), {});
+  const CuboidId finest = shape->lattice.FinestCuboid();
+  ASSERT_TRUE(server.Execute(MakeRequest(*shape, finest)).ok());
+  size_t relaxed = 0;
+  for (CuboidId target = 0; target < shape->lattice.num_cuboids();
+       ++target) {
+    bool pcad = false;
+    for (size_t axis = 0; axis < shape->lattice.num_axes(); ++axis) {
+      AxisStateId state = shape->lattice.StateOf(target, axis);
+      pcad = pcad || (state != shape->lattice.StateOf(finest, axis) &&
+                      shape->lattice.axis(axis).state(state)
+                          .grouping_present());
+    }
+    if (!pcad) continue;
+    ++relaxed;
+    server.FlushCacheForTest();
+    ASSERT_TRUE(server.Execute(MakeRequest(*shape, finest)).ok());
+    auto answer = server.Execute(MakeRequest(*shape, target));
+    ASSERT_TRUE(answer.ok());
+    EXPECT_TRUE(answer->computed) << "cuboid " << target;
+    ExpectAnswerExact(*shape, *answer, 0, "pcad after finest");
+  }
+  EXPECT_GT(relaxed, 0u);
+}
+
+TEST(ServerMissPathTest, FullCubeMissComputesOnceAfterDowngrade) {
+  Corpus& corpus = Corpus::Get();
+  ShapeRef& shape = corpus.treebank();  // neither property holds
+  X3Server server(corpus.db(), {});
+  for (CubeAlgorithm requested :
+       {CubeAlgorithm::kTDOptAll, CubeAlgorithm::kBUC}) {
+    std::string context = CubeAlgorithmToString(requested);
+    server.FlushCacheForTest();
+    uint64_t computations = CounterValue("x3_cube_computations_total");
+    ServerRequest request = MakeRequest(shape);
+    request.algorithm = requested;
+    auto ticket = server.Submit(std::move(request));
+    auto answer = ticket->Wait();
+    ASSERT_TRUE(answer.ok()) << context;
+    EXPECT_TRUE(answer->computed) << context;
+    EXPECT_EQ(CounterValue("x3_cube_computations_total"), computations + 1)
+        << context;
+    bool unsafe = requested == CubeAlgorithm::kTDOptAll;
+    EXPECT_EQ(answer->algorithm_used,
+              unsafe ? CubeAlgorithm::kTDCust : requested)
+        << context;
+    QueryLogRecord record = RecordOf(server, ticket->query_id());
+    EXPECT_EQ(record.downgraded, unsafe) << context;
+    EXPECT_NE(FindStage(record, "compute"), nullptr) << context;
+    EXPECT_NE(FindStage(record, "cache-fill"), nullptr) << context;
+    EXPECT_EQ(server.cache_views(), 1u) << context << ": the finest view";
+    ExpectAnswerExact(shape, *answer, 0, context);
+  }
+  EXPECT_EQ(server.budget()->used(), 0u);
+}
+
+TEST(ServerMissPathTest, InterruptedViewBuildPublishesNothing) {
+  Corpus& corpus = Corpus::Get();
+  ShapeRef& shape = corpus.dblp();
+  const CuboidId target = shape.lattice.TopoOrder()[1];
+  ASSERT_NE(target, shape.lattice.FinestCuboid());
+  X3ServerOptions options;
+  options.num_threads = 1;
+  X3Server server(corpus.db(), options);
+  // Build the shape up front: the miss's polls are then the cache
+  // lookup's and the view build's.
+  ASSERT_TRUE(server.Execute(MakeRequest(shape, target)).ok());
+
+  // One cold miss for `target`. A blocker holds the single worker until
+  // the miss's ticket is armed and the blocker is cancelled, so a trip
+  // count starts at the miss's first poll; the blocker unwinds in its
+  // hold, before any cache access.
+  auto cold_miss = [&](std::optional<int64_t> cancel_after,
+                       std::optional<double> deadline) {
+    server.FlushCacheForTest();
+    ServerRequest blocker = MakeRequest(shape, target);
+    blocker.debug_hold_seconds = 60;
+    auto held = server.Submit(std::move(blocker));
+    ServerRequest request = MakeRequest(shape, target);
+    request.deadline_seconds = deadline;
+    auto ticket = server.Submit(std::move(request));
+    if (cancel_after.has_value()) ticket->CancelAfterChecks(*cancel_after);
+    held->Cancel();
+    EXPECT_EQ(held->Wait().status().code(), StatusCode::kCancelled);
+    Result<ServerAnswer> answer = ticket->Wait();
+    return std::make_pair(RecordOf(server, ticket->query_id()),
+                          std::move(answer));
+  };
+  auto expect_nothing_published = [&](const std::string& context) {
+    EXPECT_EQ(server.cache_views(), 0u) << context;
+    EXPECT_EQ(server.budget()->used(), 0u) << context;
+    // A view published without cache accounting would answer this.
+    auto again = server.Execute(MakeRequest(shape, target));
+    ASSERT_TRUE(again.ok()) << context;
+    EXPECT_TRUE(again->computed) << context << ": a view was published";
+    ExpectAnswerExact(shape, *again, 0, context);
+  };
+
+  // Sweep the trip point over the miss's polls until the miss finishes.
+  int64_t first_success = -1;
+  size_t cancelled_in_fill = 0;
+  for (int64_t k = 0; first_success < 0; k += k < 4 ? 1 : 7) {
+    ASSERT_LT(k, 100000) << "the miss never completed";
+    std::string context = "cancel after " + std::to_string(k) + " checks";
+    auto [record, answer] = cold_miss(k, std::nullopt);
+    if (answer.ok()) {
+      first_success = k;
+      ExpectAnswerExact(shape, *answer, 0, context);
+      continue;
+    }
+    ASSERT_EQ(answer.status().code(), StatusCode::kCancelled) << context;
+    if (FindStage(record, "cache-fill") != nullptr) ++cancelled_in_fill;
+    expect_nothing_published(context);
+  }
+  // The build polls once per fact of each view it builds.
+  EXPECT_GT(first_success, static_cast<int64_t>(shape.facts.size()));
+  EXPECT_GT(cancelled_in_fill, 0u);
+
+  // Deadlines that expire partway through the miss, timed unhindered.
+  double miss_seconds = 1e9;
+  for (int i = 0; i < 3; ++i) {
+    auto [record, answer] = cold_miss(std::nullopt, std::nullopt);
+    ASSERT_TRUE(answer.ok());
+    miss_seconds = std::min(miss_seconds, record.latency_seconds);
+  }
+  size_t expired_in_fill = 0;
+  for (double fraction : {0.1, 0.25, 0.5, 0.75}) {
+    std::string context =
+        "deadline at " + std::to_string(fraction) + " of the miss";
+    auto [record, answer] = cold_miss(std::nullopt, miss_seconds * fraction);
+    if (answer.ok()) {
+      ExpectAnswerExact(shape, *answer, 0, context);
+      continue;
+    }
+    ASSERT_EQ(answer.status().code(), StatusCode::kDeadlineExceeded)
+        << context;
+    if (FindStage(record, "cache-fill") != nullptr) ++expired_in_fill;
+    expect_nothing_published(context);
+  }
+  EXPECT_GT(expired_in_fill, 0u);
 }
 
 // --- Write/read interleaving: the transactional write lane ---
