@@ -87,11 +87,13 @@ void BM_AblationCounterBudget(benchmark::State& state) {
   CubeComputeStats stats;
   for (auto _ : state) {
     MemoryBudget budget(budget_bytes);
+    ExecutionContext ctx({&budget, nullptr, nullptr, std::nullopt});
     CubeComputeOptions options;
-    options.budget = &budget;
+    options.exec = &ctx;
     auto cube = ComputeCube(CubeAlgorithm::kCounter, workload.facts,
                             workload.lattice, options, &stats);
     X3_CHECK(cube.ok());
+    X3_CHECK(budget.used() == 0);
     benchmark::DoNotOptimize(cube->TotalCells());
   }
   state.counters["passes"] = static_cast<double>(stats.passes);

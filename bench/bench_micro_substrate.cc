@@ -12,7 +12,6 @@
 #include "cube/cube_spec.h"
 #include "gen/treebank_gen.h"
 #include "pattern/join_matcher.h"
-#include "pattern/path_stack.h"
 #include "pattern/pattern_parser.h"
 #include "pattern/twig_matcher.h"
 #include "storage/external_sorter.h"
@@ -125,9 +124,8 @@ void BM_TwigMatch(benchmark::State& state) {
 }
 BENCHMARK(BM_TwigMatch)->Arg(1000)->Arg(5000)->Unit(benchmark::kMillisecond);
 
-// The three pattern-evaluation strategies on the same chain pattern:
-// node-at-a-time recursion, edge-at-a-time structural-join plans, and
-// the holistic PathStack.
+// The two pattern-evaluation strategies on the same chain pattern:
+// node-at-a-time recursion and edge-at-a-time structural-join plans.
 void BM_MatcherStrategies(benchmark::State& state) {
   auto db = MakeLoadedDb(2000);
   auto parsed = ParsePattern(StringPrintf("//%s//%s", TreebankRootTag(),
@@ -141,13 +139,8 @@ void BM_MatcherStrategies(benchmark::State& state) {
       auto matches = matcher.FindMatches(parsed->pattern);
       X3_CHECK(matches.ok());
       matches_found = matches->size();
-    } else if (strategy == 1) {
-      JoinMatcher matcher(db.get());
-      auto matches = matcher.FindMatches(parsed->pattern);
-      X3_CHECK(matches.ok());
-      matches_found = matches->size();
     } else {
-      PathStackMatcher matcher(db.get());
+      JoinMatcher matcher(db.get());
       auto matches = matcher.FindMatches(parsed->pattern);
       X3_CHECK(matches.ok());
       matches_found = matches->size();
@@ -155,11 +148,9 @@ void BM_MatcherStrategies(benchmark::State& state) {
     benchmark::DoNotOptimize(matches_found);
   }
   state.counters["matches"] = static_cast<double>(matches_found);
-  state.SetLabel(strategy == 0   ? "twig"
-                 : strategy == 1 ? "join-plan"
-                                 : "path-stack");
+  state.SetLabel(strategy == 0 ? "twig" : "join-plan");
 }
-BENCHMARK(BM_MatcherStrategies)->Arg(0)->Arg(1)->Arg(2)
+BENCHMARK(BM_MatcherStrategies)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 void BM_ExternalSort(benchmark::State& state) {

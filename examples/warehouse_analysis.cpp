@@ -75,9 +75,9 @@ int main(int argc, char** argv) {
         x3::CubeAlgorithm::kTDOpt}) {
     x3::TempFileManager temp;
     x3::MemoryBudget budget(budget_bytes);
+    x3::ExecutionContext ctx({&budget, &temp, nullptr, std::nullopt});
     x3::CubeComputeOptions options;
-    options.budget = &budget;
-    options.temp_files = &temp;
+    options.exec = &ctx;
     options.properties = &workload->properties;
     x3::CubeComputeStats stats;
     x3::Timer t;

@@ -136,8 +136,9 @@ int main(int argc, char** argv) {
       }
       properties = std::move(*inferred);
     }
-    std::fputs(x3::ExplainCustomTopDown(*lattice, properties).c_str(),
-               stdout);
+    x3::CubePlan plan =
+        x3::BuildCubePlan(x3::CubeAlgorithm::kTDCust, *lattice, properties);
+    std::fputs(x3::ExplainCubePlan(plan, *lattice).c_str(), stdout);
     return 0;
   }
 

@@ -45,7 +45,7 @@ Rules (see docs/STATIC_ANALYSIS.md for the rationale):
   raw-fact-set       No std::set/std::unordered_set of raw integer fact
                      ids in src/cube/: fact-id sets are FactIdSet
                      (util/fact_id_set.h), the compressed roaring-style
-                     representation, so cardinality/union/intersection
+                     representation, so cardinality and union
                      stay O(words) and the memory budget stays honest.
   raw-mutex          No bare std::mutex / std::condition_variable /
                      std::lock_guard / std::unique_lock (or their timed/
@@ -74,6 +74,16 @@ Rules (see docs/STATIC_ANALYSIS.md for the rationale):
                      finest view. Any other call site would silently
                      bypass admission accounting, the downgrade policy
                      and caching.
+  group-walk         No group enumeration or key-field packing in src/
+                     outside the group-walk kernel (src/cube/group_walk.h)
+                     and PackGroupKey's home (src/cube/cube_result.cc):
+                     neither an odometer advance (`++idx[i] < ...`) nor
+                     a hand-rolled big-endian key field
+                     (`(v >> 24) & 0xFF`). Every algorithm walks a fact's
+                     groups through GroupWalk and encodes key fields
+                     with its WriteKeyField/AppendKeyField/ReadKeyField,
+                     so a change to the walk or the key format is made
+                     once.
   server-raw-log     No ad-hoc logging (printf/puts/perror, std::cout/
                      cerr/clog) in src/server/ outside query_log.*: a
                      serving-layer event either belongs in the
@@ -148,6 +158,11 @@ SERVER_RAW_LOG = re.compile(
 # site must carry an allow comment justifying why.
 RAW_PAGE_WRITE = re.compile(
     r"\b(?:WritePage|AllocatePage|FlushAll|RenameFile)\s*\(")
+# The group-walk kernel's two signatures: an odometer digit advance and
+# a hand-rolled big-endian key field.
+ODOMETER_ADVANCE = re.compile(r"\+\+\s*\w+\s*\[\s*\w+\s*\]\s*<")
+KEY_FIELD_ENCODE = re.compile(r">>\s*24\s*\)\s*&\s*0x[fF][fF]")
+GROUP_WALK_HOMES = ("src/cube/group_walk.h", "src/cube/cube_result.cc")
 ALLOW = re.compile(r"x3-lint:\s*allow\(([\w-]+)\)")
 
 
@@ -294,6 +309,14 @@ class Linter:
                             "annotated full-cube/bypass miss path in "
                             "X3Server::RunQuery",
                             raw)
+            if (in_src and rel not in GROUP_WALK_HOMES
+                    and (ODOMETER_ADVANCE.search(code)
+                         or KEY_FIELD_ENCODE.search(code))):
+                self.report(path, lineno, "group-walk",
+                            "group enumeration or key-field packing "
+                            "outside the kernel; walk groups with "
+                            "GroupWalk and encode fields with "
+                            "AppendKeyField (cube/group_walk.h)", raw)
             if (rel.startswith("src/server/")
                     and not rel.startswith("src/server/query_log.")
                     and SERVER_RAW_LOG.search(code)):

@@ -99,23 +99,13 @@ Result<CubeResult> ComputeCube(CubeAlgorithm algo, const FactTable& facts,
   CubeComputeStats* st = stats != nullptr ? stats : &local;
   *st = CubeComputeStats{};
 
-  // Reconcile the execution context with the per-call options: a
-  // caller-supplied context wins for budget/temp_files; otherwise an
-  // uncancellable local context wraps the option fields.
-  ExecutionContext local_ctx(ExecutionContext::Options{
-      options.budget, options.temp_files, nullptr, std::nullopt});
+  ExecutionContext local_ctx;
   ExecutionContext* ctx =
       options.exec != nullptr ? options.exec : &local_ctx;
   CubeComputeOptions effective = options;
   effective.exec = ctx;
   if (effective.parallelism == 0) {
     effective.parallelism = ThreadPool::DefaultConcurrency();
-  }
-  if (options.exec != nullptr) {
-    if (ctx->budget() != nullptr) effective.budget = ctx->budget();
-    if (ctx->temp_files() != nullptr) {
-      effective.temp_files = ctx->temp_files();
-    }
   }
 
   // Plan. CUST variants with no property map plan conservatively.
@@ -160,17 +150,10 @@ Result<std::string> ExplainAnalyzeCube(CubeAlgorithm algo,
                                        const CubeComputeOptions& options,
                                        CubeComputeStats* stats) {
   // A private context gives the run its own stats sink, so the rendered
-  // actuals cover exactly this execution; the caller's budget, temp
-  // files, cancellation, deadline and tracer still apply.
-  ExecutionContext::Options ctx_options;
-  if (options.exec != nullptr) {
-    ctx_options.budget = options.exec->budget();
-    ctx_options.temp_files = options.exec->temp_files();
-    ctx_options.cancel = options.exec->cancellation();
-    ctx_options.deadline = options.exec->deadline();
-    ctx_options.tracer = options.exec->tracer();
-  }
-  ExecutionContext ctx(ctx_options);
+  // actuals cover exactly this execution; the rest of the caller's
+  // context (budget, temp files, cancellation, deadline, tracer) applies.
+  ExecutionContext ctx(options.exec != nullptr ? options.exec->options()
+                                               : ExecutionContext::Options{});
   CubeComputeOptions effective = options;
   effective.exec = &ctx;
   CubeComputeStats local;
@@ -189,44 +172,4 @@ Result<std::string> ExplainAnalyzeCube(CubeAlgorithm algo,
   return ExplainCubePlanWithActuals(plan, lattice, *ctx.stats(), result);
 }
 
-namespace internal {
-
-bool ForEachGroupOfFact(
-    const FactTable& facts, const CubeLattice& lattice, CuboidId cuboid,
-    size_t fact, std::vector<std::vector<ValueId>>* scratch,
-    const std::function<void(const GroupKey&)>& fn) {
-  // Collect the distinct admitted value set per present axis.
-  size_t num_present = 0;
-  static thread_local std::vector<size_t> present_axes;
-  present_axes.clear();
-  for (size_t a = 0; a < lattice.num_axes(); ++a) {
-    AxisStateId s = lattice.StateOf(cuboid, a);
-    if (!lattice.axis(a).state(s).grouping_present()) continue;
-    facts.AdmittedValues(a, fact, s, &(*scratch)[num_present]);
-    if ((*scratch)[num_present].empty()) return false;  // coverage drop-out
-    present_axes.push_back(a);
-    ++num_present;
-  }
-  // Odometer over the cross product.
-  static thread_local std::vector<size_t> idx;
-  static thread_local std::vector<ValueId> tuple;
-  idx.assign(num_present, 0);
-  tuple.resize(num_present);
-  for (;;) {
-    for (size_t i = 0; i < num_present; ++i) {
-      tuple[i] = (*scratch)[i][idx[i]];
-    }
-    fn(PackGroupKey(tuple));
-    // Advance the odometer.
-    size_t i = 0;
-    for (; i < num_present; ++i) {
-      if (++idx[i] < (*scratch)[i].size()) break;
-      idx[i] = 0;
-    }
-    if (i == num_present) break;
-  }
-  return true;
-}
-
-}  // namespace internal
 }  // namespace x3

@@ -2,7 +2,6 @@
 #define X3_CUBE_ALGORITHM_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
 
@@ -52,11 +51,6 @@ Result<CubeAlgorithm> ParseCubeAlgorithm(std::string_view name);
 /// Execution environment for a cube computation.
 struct CubeComputeOptions {
   AggregateFunction aggregate = AggregateFunction::kCount;
-  /// Bounds working memory (counter tables, sort buffers, partition
-  /// copies). nullptr = unlimited.
-  MemoryBudget* budget = nullptr;
-  /// Required whenever sorts may spill (TD family under a budget).
-  TempFileManager* temp_files = nullptr;
   /// Per-(axis,state) summarizability; used by the CUST variants and,
   /// in tests, to predict which algorithms are safe. nullptr means
   /// "assume nothing" for CUST variants.
@@ -67,10 +61,10 @@ struct CubeComputeOptions {
   /// (the iceberg-cube optimization BUC was designed for); the others
   /// filter on output. 0 or 1 disables.
   int64_t min_count = 0;
-  /// Execution context carrying cancellation, deadline and the stage
-  /// stats sink. nullptr = ComputeCube builds an uncancellable context
-  /// from `budget`/`temp_files`. When set, its non-null budget and
-  /// temp-file manager take precedence over the fields above.
+  /// The one way the memory budget (counter tables, sort buffers,
+  /// partition copies), the temp files sorts spill to, cancellation,
+  /// the deadline and the stage stats sink reach the engine. nullptr =
+  /// an unlimited, uncancellable context of ComputeCube's own.
   ExecutionContext* exec = nullptr;
   /// Worker threads for plan execution. 1 (the default) runs every step
   /// on the calling thread — exactly the pre-parallel behavior. 0 means
@@ -142,25 +136,13 @@ Result<CubeResult> ComputeCube(CubeAlgorithm algo, const FactTable& facts,
 /// actual wall-clock time, output rows and spill I/O of this execution.
 /// The run gets a private stats sink so the actuals cover exactly this
 /// computation; the caller's budget, temp files, cancellation, deadline
-/// and tracer (from `options` / `options.exec`) still apply.
+/// and tracer (from `options.exec`) still apply.
 Result<std::string> ExplainAnalyzeCube(CubeAlgorithm algo,
                                        const FactTable& facts,
                                        const CubeLattice& lattice,
                                        const CubeComputeOptions& options,
                                        CubeComputeStats* stats = nullptr);
 
-namespace internal {
-
-/// Enumerates, for one fact and one cuboid, every distinct group tuple
-/// the fact belongs to, invoking `fn(packed key)`. Returns false iff
-/// the fact belongs to no group of this cuboid (a coverage drop-out).
-/// `scratch` must have at least one vector per axis.
-bool ForEachGroupOfFact(
-    const FactTable& facts, const CubeLattice& lattice, CuboidId cuboid,
-    size_t fact, std::vector<std::vector<ValueId>>* scratch,
-    const std::function<void(const GroupKey&)>& fn);
-
-}  // namespace internal
 }  // namespace x3
 
 #endif  // X3_CUBE_ALGORITHM_H_

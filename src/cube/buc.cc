@@ -126,10 +126,11 @@ class BucComputation {
       std::sort(pairs.begin(), pairs.end());
       size_t charged = pairs.size() * sizeof(pairs[0]);
       stats_->partition_rows += pairs.size();
-      if (options_.budget != nullptr) {
-        options_.budget->ForceReserve(charged);
+      MemoryBudget* budget = ctx_->budget();
+      if (budget != nullptr) {
+        budget->ForceReserve(charged);
         stats_->peak_memory =
-            std::max<uint64_t>(stats_->peak_memory, options_.budget->peak());
+            std::max<uint64_t>(stats_->peak_memory, budget->peak());
       }
       // The charge must be released on every exit, including an error
       // (cancellation) surfacing from a deeper level — collect the
@@ -150,7 +151,7 @@ class BucComputation {
         status = Recurse(axis + 1, partition);
         values_.pop_back();
       }
-      if (options_.budget != nullptr) options_.budget->Release(charged);
+      if (budget != nullptr) budget->Release(charged);
       X3_RETURN_IF_ERROR(status);
     }
     return Status::OK();

@@ -2,6 +2,7 @@
 #include <unordered_map>
 
 #include "cube/executor.h"
+#include "cube/group_walk.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -13,15 +14,14 @@ namespace {
 constexpr size_t kCellOverhead = 64;
 
 /// One pass attempt over a batch of cuboids. Returns true on success;
-/// false when the memory budget was exhausted mid-pass (the partial
-/// counters are discarded and the caller splits the batch). Any budget
-/// reserved during the pass is released on every path, including a
-/// cancellation or deadline unwind.
+/// false when `budget` (nullptr = unlimited) was exhausted mid-pass (the
+/// partial counters are discarded and the caller splits the batch). Any
+/// budget reserved during the pass is released on every path, including
+/// a cancellation or deadline unwind.
 Result<bool> CounterPass(const FactTable& facts, const CubeLattice& lattice,
-                         const CubeComputeOptions& options,
                          const std::vector<CuboidId>& batch,
-                         ExecutionContext* ctx, CubeResult* result,
-                         CubeComputeStats* stats) {
+                         MemoryBudget* budget, ExecutionContext* ctx,
+                         CubeResult* result, CubeComputeStats* stats) {
   ScopedStageTimer timer(
       ctx->stats(),
       StringPrintf("pass/%llu", static_cast<unsigned long long>(
@@ -29,10 +29,14 @@ Result<bool> CounterPass(const FactTable& facts, const CubeLattice& lattice,
       ctx->tracer());
   ++stats->passes;
   ++stats->base_scans;
-  MemoryBudget* budget = options.budget;
   size_t reserved = 0;
   std::vector<std::unordered_map<GroupKey, AggregateState>> counters(
       batch.size());
+  std::vector<GroupWalk> walks;
+  walks.reserve(batch.size());
+  for (CuboidId cuboid : batch) {
+    walks.emplace_back(lattice, cuboid, UncoveredAxis::kDropFact);
+  }
   // Per-fact cache of admitted value lists, one per (axis, state): the
   // single-scan counter recomputes nothing across the (up to 2^d)
   // cuboids it feeds from one fact.
@@ -40,18 +44,6 @@ Result<bool> CounterPass(const FactTable& facts, const CubeLattice& lattice,
   for (size_t a = 0; a < lattice.num_axes(); ++a) {
     cache[a].resize(lattice.axis(a).num_states());
   }
-  // Columnar scan state: the cache fill below walks each axis's mask
-  // and value columns directly through the shared offset index.
-  std::vector<std::span<const AxisStateMask>> col_masks(lattice.num_axes());
-  std::vector<std::span<const ValueId>> col_values(lattice.num_axes());
-  std::vector<std::span<const uint32_t>> col_offsets(lattice.num_axes());
-  for (size_t a = 0; a < lattice.num_axes(); ++a) {
-    col_masks[a] = facts.AxisMaskColumn(a);
-    col_values[a] = facts.AxisValueColumn(a);
-    col_offsets[a] = facts.AxisOffsets(a);
-  }
-  std::vector<size_t> idx;
-  std::vector<ValueId> tuple;
   bool overflow = false;
   Status interrupted = Status::OK();
   for (size_t f = 0; f < facts.size() && !overflow; ++f) {
@@ -59,77 +51,28 @@ Result<bool> CounterPass(const FactTable& facts, const CubeLattice& lattice,
     if (!interrupted.ok()) break;
     int64_t measure = facts.measure(f);
     for (size_t a = 0; a < lattice.num_axes(); ++a) {
-      uint32_t lo = col_offsets[a][f];
-      uint32_t hi = col_offsets[a][f + 1];
       for (AxisStateId s = 0; s < lattice.axis(a).num_states(); ++s) {
         if (!lattice.axis(a).state(s).grouping_present()) continue;
-        std::vector<ValueId>& list = cache[a][s];
-        list.clear();
-        for (uint32_t i = lo; i < hi; ++i) {
-          if (!FactTable::AdmittedAt(col_masks[a][i], s)) continue;
-          ValueId v = col_values[a][i];
-          if (std::find(list.begin(), list.end(), v) == list.end()) {
-            list.push_back(v);  // first-seen distinct order
-          }
-        }
+        facts.AdmittedValues(a, f, s, &cache[a][s]);
       }
     }
     for (size_t b = 0; b < batch.size() && !overflow; ++b) {
-      CuboidId cuboid = batch[b];
-      // Gather the cached lists for this cuboid's present axes.
-      bool drop = false;
-      size_t num_present = 0;
-      static thread_local std::vector<const std::vector<ValueId>*> lists;
-      lists.clear();
-      for (size_t a = 0; a < lattice.num_axes(); ++a) {
-        AxisStateId s = lattice.StateOf(cuboid, a);
-        if (!lattice.axis(a).state(s).grouping_present()) continue;
-        const std::vector<ValueId>& values = cache[a][s];
-        if (values.empty()) {
-          drop = true;  // coverage drop-out
-          break;
-        }
-        lists.push_back(&values);
-        ++num_present;
-      }
-      if (drop) continue;
-      // Odometer over the cross product of cached lists. The key
-      // buffer is reused so the hot path allocates only on new cells.
-      idx.assign(num_present, 0);
-      tuple.resize(num_present);
-      static thread_local GroupKey key;
-      for (;;) {
-        for (size_t i = 0; i < num_present; ++i) {
-          tuple[i] = (*lists[i])[idx[i]];
-        }
-        key.clear();
-        for (size_t i = 0; i < num_present; ++i) {
-          uint32_t v = tuple[i];
-          key.push_back(static_cast<char>((v >> 24) & 0xFF));
-          key.push_back(static_cast<char>((v >> 16) & 0xFF));
-          key.push_back(static_cast<char>((v >> 8) & 0xFF));
-          key.push_back(static_cast<char>(v & 0xFF));
-        }
+      walks[b].ForEachGroup(cache, [&](const GroupKey& key) {
+        if (overflow) return;
         auto it = counters[b].find(key);
         if (it == counters[b].end()) {
           if (budget != nullptr) {
             size_t charge = key.size() + kCellOverhead;
             if (!budget->Reserve(charge).ok()) {
               overflow = true;
-              break;
+              return;
             }
             reserved += charge;
           }
           it = counters[b].emplace(key, AggregateState{}).first;
         }
         it->second.Update(measure);
-        size_t i = 0;
-        for (; i < num_present; ++i) {
-          if (++idx[i] < lists[i]->size()) break;
-          idx[i] = 0;
-        }
-        if (i == num_present) break;
-      }
+      });
     }
   }
   if (budget != nullptr) {
@@ -154,33 +97,29 @@ Result<bool> CounterPass(const FactTable& facts, const CubeLattice& lattice,
 /// multi-pass behaviour the paper reports ("at 6 axes, we had to do 2
 /// passes, at 7 axes we needed 5 passes", §4.6).
 Status CounterBatch(const FactTable& facts, const CubeLattice& lattice,
-                    const CubeComputeOptions& options,
                     const std::vector<CuboidId>& batch, ExecutionContext* ctx,
                     CubeResult* result, CubeComputeStats* stats) {
   if (batch.empty()) return Status::OK();
-  X3_ASSIGN_OR_RETURN(bool ok, CounterPass(facts, lattice, options, batch,
-                                           ctx, result, stats));
+  X3_ASSIGN_OR_RETURN(bool ok, CounterPass(facts, lattice, batch,
+                                           ctx->budget(), ctx, result, stats));
   if (ok) return Status::OK();
   if (batch.size() == 1) {
     // A single cuboid that alone exceeds the budget: there is nothing
     // left to split. Run it with forced overshoot (the real system
     // would thrash the VM the same way).
-    CubeComputeOptions forced = options;
-    forced.budget = nullptr;
     X3_LOG(Warning) << "COUNTER: cuboid " << batch[0]
                     << " alone exceeds the memory budget; forcing";
     X3_ASSIGN_OR_RETURN(bool forced_ok,
-                        CounterPass(facts, lattice, forced, batch, ctx,
-                                    result, stats));
+                        CounterPass(facts, lattice, batch, /*budget=*/nullptr,
+                                    ctx, result, stats));
     X3_CHECK(forced_ok);
     return Status::OK();
   }
   size_t mid = batch.size() / 2;
   std::vector<CuboidId> left(batch.begin(), batch.begin() + mid);
   std::vector<CuboidId> right(batch.begin() + mid, batch.end());
-  X3_RETURN_IF_ERROR(
-      CounterBatch(facts, lattice, options, left, ctx, result, stats));
-  return CounterBatch(facts, lattice, options, right, ctx, result, stats);
+  X3_RETURN_IF_ERROR(CounterBatch(facts, lattice, left, ctx, result, stats));
+  return CounterBatch(facts, lattice, right, ctx, result, stats);
 }
 
 /// Counter-based family (§3.3): all cuboids off one shared scan, split
@@ -203,7 +142,7 @@ class CounterExecutor final : public CuboidExecutor {
     }
     if (options.parallelism <= 1 || all.size() <= 1) {
       X3_RETURN_IF_ERROR(
-          CounterBatch(facts, lattice, options, all, ctx, &result, stats));
+          CounterBatch(facts, lattice, all, ctx, &result, stats));
       return result;
     }
     // Parallel: round-robin the cuboids into one batch per worker, each
@@ -223,7 +162,7 @@ class CounterExecutor final : public CuboidExecutor {
     for (std::vector<CuboidId>& batch : batches) {
       tasks.push_back(PlanTask{
           [&, batch = std::move(batch)](CubeComputeStats* task_stats) {
-            return CounterBatch(facts, lattice, options, batch, ctx, &result,
+            return CounterBatch(facts, lattice, batch, ctx, &result,
                                 task_stats);
           },
           {}});

@@ -2,32 +2,24 @@
 
 #include <algorithm>
 
+#include "cube/group_walk.h"
 #include "util/env.h"
 #include "util/string_util.h"
 
 namespace x3 {
 
 GroupKey PackGroupKey(std::span<const ValueId> values) {
-  GroupKey key;
-  key.resize(values.size() * 4);
+  GroupKey key(values.size() * kKeyFieldBytes, '\0');
   for (size_t i = 0; i < values.size(); ++i) {
-    uint32_t v = values[i];
-    key[i * 4 + 0] = static_cast<char>((v >> 24) & 0xFF);
-    key[i * 4 + 1] = static_cast<char>((v >> 16) & 0xFF);
-    key[i * 4 + 2] = static_cast<char>((v >> 8) & 0xFF);
-    key[i * 4 + 3] = static_cast<char>(v & 0xFF);
+    WriteKeyField(key.data() + i * kKeyFieldBytes, values[i]);
   }
   return key;
 }
 
 std::vector<ValueId> UnpackGroupKey(const GroupKey& key) {
-  std::vector<ValueId> values(key.size() / 4);
+  std::vector<ValueId> values(key.size() / kKeyFieldBytes);
   for (size_t i = 0; i < values.size(); ++i) {
-    auto byte = [&key](size_t j) {
-      return static_cast<uint32_t>(static_cast<uint8_t>(key[j]));
-    };
-    values[i] = (byte(i * 4) << 24) | (byte(i * 4 + 1) << 16) |
-                (byte(i * 4 + 2) << 8) | byte(i * 4 + 3);
+    values[i] = ReadKeyField(key.data() + i * kKeyFieldBytes);
   }
   return values;
 }

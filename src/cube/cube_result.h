@@ -15,9 +15,10 @@
 
 namespace x3 {
 
-/// A packed group key: the present axes' ValueIds, big-endian 4 bytes
-/// each, in axis order. Packing keeps hash-map keys compact and makes
-/// bytewise sort order usable for grouping.
+/// A packed group key: the present axes' ValueIds in axis order, one
+/// key field each (cube/group_walk.h: 4 big-endian bytes). Packing keeps
+/// hash-map keys compact and makes bytewise sort order usable for
+/// grouping.
 using GroupKey = std::string;
 
 GroupKey PackGroupKey(std::span<const ValueId> values);

@@ -19,9 +19,8 @@ namespace x3 {
 ///
 /// Contract: `ctx` is never null; long loops must Poll() it and unwind
 /// with kCancelled / kDeadlineExceeded, releasing every budget charge on
-/// the way out. Executors read budget/temp_files from `options` (already
-/// reconciled with the context by ComputeCube) and record stage timings
-/// into ctx->stats().
+/// the way out. Executors read the budget and temp files from `ctx` and
+/// record stage timings into ctx->stats().
 class CuboidExecutor {
  public:
   virtual ~CuboidExecutor() = default;

@@ -104,34 +104,6 @@ std::span<const ValueId> FactTable::BindingValues(size_t axis,
                                   hi - lo);
 }
 
-void FactTable::AdmittedValues(size_t axis, size_t fact, AxisStateId state,
-                               std::vector<ValueId>* out) const {
-  out->clear();
-  std::span<const AxisStateMask> masks = BindingMasks(axis, fact);
-  std::span<const ValueId> values = BindingValues(axis, fact);
-  for (size_t i = 0; i < masks.size(); ++i) {
-    if (!AdmittedAt(masks[i], state)) continue;
-    ValueId value = values[i];
-    bool seen = false;
-    for (ValueId v : *out) {
-      if (v == value) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) out->push_back(value);
-  }
-}
-
-ValueId FactTable::FirstAdmittedValue(size_t axis, size_t fact,
-                                      AxisStateId state) const {
-  std::span<const AxisStateMask> masks = BindingMasks(axis, fact);
-  for (size_t i = 0; i < masks.size(); ++i) {
-    if (AdmittedAt(masks[i], state)) return BindingValues(axis, fact)[i];
-  }
-  return kInvalidValueId;
-}
-
 size_t FactTable::ApproxBytes() const {
   size_t bytes = fact_ids_.size() * (sizeof(uint64_t) + sizeof(int64_t));
   for (size_t a = 0; a < num_axes_; ++a) {

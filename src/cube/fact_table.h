@@ -1,6 +1,7 @@
 #ifndef X3_CUBE_FACT_TABLE_H_
 #define X3_CUBE_FACT_TABLE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -118,14 +119,22 @@ class FactTable {
   }
 
   /// Distinct values of `axis` for `fact` admitted at `state`, appended
-  /// to `*out` (cleared first). Order is first-seen.
+  /// to `*out` (cleared first). Order is first-seen. Inline over the
+  /// columns: the group-walk kernel (cube/group_walk.h) and COUNTER's
+  /// per-fact cache fill call it once per (fact, axis, state).
   void AdmittedValues(size_t axis, size_t fact, AxisStateId state,
-                      std::vector<ValueId>* out) const;
-
-  /// First admitted value at `state`, or kInvalidValueId. (The value a
-  /// disjointness-assuming algorithm uses without checking for more.)
-  ValueId FirstAdmittedValue(size_t axis, size_t fact,
-                             AxisStateId state) const;
+                      std::vector<ValueId>* out) const {
+    out->clear();
+    const AxisStateMask* masks = axis_masks_[axis].data();
+    const ValueId* values = axis_value_cols_[axis].data();
+    const uint32_t hi = axis_offsets_[axis][fact + 1];
+    for (uint32_t i = axis_offsets_[axis][fact]; i < hi; ++i) {
+      if (!AdmittedAt(masks[i], state)) continue;
+      if (std::find(out->begin(), out->end(), values[i]) == out->end()) {
+        out->push_back(values[i]);
+      }
+    }
+  }
 
   const std::string& AxisValueName(size_t axis, ValueId value) const {
     return axis_dicts_[axis].Value(value);

@@ -248,7 +248,7 @@ void PlanCustom(const CubeLattice& lattice,
   }
 }
 
-/// The step line shared by ExplainCubePlan and ExplainCustomTopDown.
+/// The step line shared by ExplainCubePlan and ExplainCubePlanWithActuals.
 /// The per-kind phrases are golden-tested; change them deliberately.
 /// A non-empty `annotation` (EXPLAIN ANALYZE actuals) is appended
 /// before the newline.
@@ -508,20 +508,6 @@ std::string ExplainCubePlanWithActuals(const CubePlan& plan,
   }
   for (const CuboidPlanStep& step : plan.steps) {
     out += RenderStep(step, lattice, StepActuals(step, stats, result));
-  }
-  return out;
-}
-
-std::vector<CuboidPlanStep> PlanCustomTopDown(
-    const CubeLattice& lattice, const LatticeProperties& properties) {
-  return BuildCubePlan(CubeAlgorithm::kTDCust, lattice, properties).steps;
-}
-
-std::string ExplainCustomTopDown(const CubeLattice& lattice,
-                                 const LatticeProperties& properties) {
-  std::string out;
-  for (const CuboidPlanStep& step : PlanCustomTopDown(lattice, properties)) {
-    out += RenderStep(step, lattice);
   }
   return out;
 }

@@ -105,16 +105,6 @@ std::string ExplainCubePlanWithActuals(const CubePlan& plan,
                                        const StatsSink& stats,
                                        const CubeResult& result);
 
-/// Computes the strategy TDCUST would use per cuboid given the property
-/// map. Equivalent to BuildCubePlan(kTDCust, ...).steps; kept as the
-/// stable inspection API.
-std::vector<CuboidPlanStep> PlanCustomTopDown(
-    const CubeLattice& lattice, const LatticeProperties& properties);
-
-/// Human-readable rendering of PlanCustomTopDown (one line per cuboid).
-std::string ExplainCustomTopDown(const CubeLattice& lattice,
-                                 const LatticeProperties& properties);
-
 namespace internal {
 
 /// Differing axis of a lattice edge (p -> c one-step relaxation).

@@ -1,4 +1,5 @@
 #include "cube/executor.h"
+#include "cube/group_walk.h"
 #include "util/string_util.h"
 
 namespace x3 {
@@ -34,15 +35,14 @@ class ReferenceExecutor final : public CuboidExecutor {
                              static_cast<unsigned long long>(step.cuboid)),
                 ctx->tracer());
             ++task_stats->base_scans;
-            std::vector<std::vector<ValueId>> scratch(lattice.num_axes());
+            GroupWalk walk(lattice, step.cuboid, UncoveredAxis::kDropFact);
+            auto* cells = result.mutable_cuboid(step.cuboid);
             for (size_t f = 0; f < facts.size(); ++f) {
               X3_RETURN_IF_ERROR(ctx->Poll());
               int64_t measure = facts.measure(f);
-              ForEachGroupOfFact(facts, lattice, step.cuboid, f, &scratch,
-                                 [&](const GroupKey& key) {
-                                   result.MutableCell(step.cuboid, key)
-                                       ->Update(measure);
-                                 });
+              walk.ForEachGroup(facts, f, [&](const GroupKey& key) {
+                (*cells)[key].Update(measure);
+              });
             }
             timer.AddRows(result.cuboid(step.cuboid).size());
             return Status::OK();

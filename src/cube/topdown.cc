@@ -3,6 +3,7 @@
 #include <optional>
 
 #include "cube/executor.h"
+#include "cube/group_walk.h"
 #include "storage/external_sorter.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -10,24 +11,6 @@
 namespace x3 {
 namespace internal {
 namespace {
-
-/// Null sentinel for "axis value missing" in sort records. 0xFFFFFFFF
-/// can never be a real ValueId here because dictionaries are dense.
-constexpr uint32_t kNullField = 0xFFFFFFFFu;
-
-void AppendBE32(std::string* out, uint32_t v) {
-  out->push_back(static_cast<char>((v >> 24) & 0xFF));
-  out->push_back(static_cast<char>((v >> 16) & 0xFF));
-  out->push_back(static_cast<char>((v >> 8) & 0xFF));
-  out->push_back(static_cast<char>(v & 0xFF));
-}
-
-uint32_t ReadBE32(const char* p) {
-  return (static_cast<uint32_t>(static_cast<uint8_t>(p[0])) << 24) |
-         (static_cast<uint32_t>(static_cast<uint8_t>(p[1])) << 16) |
-         (static_cast<uint32_t>(static_cast<uint8_t>(p[2])) << 8) |
-         static_cast<uint32_t>(static_cast<uint8_t>(p[3]));
-}
 
 void AppendMeasure(std::string* out, int64_t measure) {
   uint64_t u = static_cast<uint64_t>(measure);
@@ -48,8 +31,8 @@ int64_t ReadMeasure(const char* p) {
 ExternalSorter::Options SorterOptions(const CubeComputeOptions& options,
                                       ExecutionContext* ctx) {
   ExternalSorter::Options sort_options;
-  sort_options.budget = options.budget;
-  sort_options.temp_files = options.temp_files;
+  sort_options.budget = ctx->budget();
+  sort_options.temp_files = ctx->temp_files();
   sort_options.exec = ctx;
   sort_options.compress_spill = options.compress_spill;
   return sort_options;
@@ -63,11 +46,11 @@ void AbsorbSortStats(const SortStats& sort_stats, CubeComputeStats* stats) {
 }
 
 /// Computes one cuboid from the base fact table by sorting its group
-/// tuples. Record layout: [values BE, 4*k] [fact index BE, 4 | absent]
-/// [measure, 8]. Fact indices are carried when `with_ids` (the honest
-/// §3.5 version that must be able to eliminate duplicates); the sorted
-/// stream is aggregated by tuple prefix with adjacent (tuple, fact)
-/// duplicates collapsed.
+/// tuples. Record layout: [group key, 4*k] [fact index as a key field,
+/// 4 | absent] [measure, 8]. Fact indices are carried when `with_ids`
+/// (the honest §3.5 version that must be able to eliminate duplicates);
+/// the sorted stream is aggregated by tuple prefix with adjacent
+/// (tuple, fact) duplicates collapsed.
 Status CuboidFromBase(const FactTable& facts, const CubeLattice& lattice,
                       CuboidId cuboid, bool with_ids,
                       const CubeComputeOptions& options, ExecutionContext* ctx,
@@ -76,36 +59,32 @@ Status CuboidFromBase(const FactTable& facts, const CubeLattice& lattice,
       ctx->stats(),
       StringPrintf("cuboid/%llu", static_cast<unsigned long long>(cuboid)),
       ctx->tracer());
-  std::vector<size_t> present = lattice.PresentAxes(cuboid);
-  size_t key_len = present.size() * 4;
+  GroupWalk walk(lattice, cuboid, UncoveredAxis::kDropFact);
+  const size_t key_len = walk.key_size();
   ExternalSorter sorter(SorterOptions(options, ctx));
   ++stats->base_scans;
 
-  std::vector<std::vector<ValueId>> scratch(lattice.num_axes());
   std::string record;
   for (size_t f = 0; f < facts.size(); ++f) {
     X3_RETURN_IF_ERROR(ctx->Poll());
     int64_t measure = facts.measure(f);
     Status add_status = Status::OK();
-    ForEachGroupOfFact(facts, lattice, cuboid, f, &scratch,
-                       [&](const GroupKey& key) {
-                         if (!add_status.ok()) return;
-                         record.assign(key);
-                         if (with_ids) {
-                           AppendBE32(&record, static_cast<uint32_t>(f));
-                         }
-                         AppendMeasure(&record, measure);
-                         add_status = sorter.Add(record);
-                       });
+    walk.ForEachGroup(facts, f, [&](const GroupKey& key) {
+      if (!add_status.ok()) return;
+      record.assign(key);
+      if (with_ids) AppendKeyField(&record, static_cast<uint32_t>(f));
+      AppendMeasure(&record, measure);
+      add_status = sorter.Add(record);
+    });
     X3_RETURN_IF_ERROR(add_status);
   }
 
   X3_ASSIGN_OR_RETURN(std::unique_ptr<SortedStream> stream, sorter.Finish());
   AbsorbSortStats(sorter.stats(), stats);
   stage.AddBytes(sorter.stats().spill_bytes);
-  if (options.budget != nullptr) {
+  if (ctx->budget() != nullptr) {
     stats->peak_memory =
-        std::max<uint64_t>(stats->peak_memory, options.budget->peak());
+        std::max<uint64_t>(stats->peak_memory, ctx->budget()->peak());
   }
 
   std::string current_group;
@@ -124,7 +103,7 @@ Status CuboidFromBase(const FactTable& facts, const CubeLattice& lattice,
   while (stream->Next(&rec, &s)) {
     X3_RETURN_IF_ERROR(ctx->Poll());
     std::string_view group(rec.data(), key_len);
-    size_t dedup_len = with_ids ? key_len + 4 : rec.size();
+    size_t dedup_len = with_ids ? key_len + kKeyFieldBytes : rec.size();
     std::string_view dedup_key(rec.data(), dedup_len);
     if (!have_group || group != current_group) {
       flush();
@@ -175,7 +154,7 @@ Status RunPipe(const FactTable& facts, const CubePlanPipe& pipe,
     X3_RETURN_IF_ERROR(ctx->Poll());
     record.clear();
     for (const FieldCols& col : fields) {
-      uint32_t field = kNullField;
+      ValueId field = kNullKeyField;
       uint32_t hi = col.offsets[f + 1];
       for (uint32_t i = col.offsets[f]; i < hi; ++i) {
         if (FactTable::AdmittedAt(col.masks[i], col.state)) {
@@ -183,7 +162,7 @@ Status RunPipe(const FactTable& facts, const CubePlanPipe& pipe,
           break;
         }
       }
-      AppendBE32(&record, field);
+      AppendKeyField(&record, field);
     }
     AppendMeasure(&record, facts.measure(f));
     X3_RETURN_IF_ERROR(sorter.Add(record));
@@ -191,9 +170,9 @@ Status RunPipe(const FactTable& facts, const CubePlanPipe& pipe,
   X3_ASSIGN_OR_RETURN(std::unique_ptr<SortedStream> stream, sorter.Finish());
   AbsorbSortStats(sorter.stats(), stats);
   stage.AddBytes(sorter.stats().spill_bytes);
-  if (options.budget != nullptr) {
+  if (ctx->budget() != nullptr) {
     stats->peak_memory =
-        std::max<uint64_t>(stats->peak_memory, options.budget->peak());
+        std::max<uint64_t>(stats->peak_memory, ctx->budget()->peak());
   }
 
   struct PrefixAgg {
@@ -223,9 +202,9 @@ Status RunPipe(const FactTable& facts, const CubePlanPipe& pipe,
   auto flush = [&](PrefixAgg* agg) {
     if (agg->have && agg->state.count > 0) {
       GroupKey key;
-      key.reserve(agg->k * 4);
+      key.reserve(agg->k * kKeyFieldBytes);
       for (size_t field : agg->field_order) {
-        key.append(agg->current, field * 4, 4);
+        key.append(agg->current, field * kKeyFieldBytes, kKeyFieldBytes);
       }
       result->MutableCell(agg->cuboid, key)->Merge(agg->state);
       stage.AddRows(1);
@@ -239,7 +218,7 @@ Status RunPipe(const FactTable& facts, const CubePlanPipe& pipe,
     X3_RETURN_IF_ERROR(ctx->Poll());
     int64_t measure = ReadMeasure(rec.data() + rec.size() - 8);
     for (PrefixAgg& agg : aggs) {
-      std::string_view prefix(rec.data(), agg.k * 4);
+      std::string_view prefix(rec.data(), agg.k * kKeyFieldBytes);
       if (!agg.have || prefix != agg.current) {
         flush(&agg);
         agg.current.assign(prefix);
@@ -248,7 +227,8 @@ Status RunPipe(const FactTable& facts, const CubePlanPipe& pipe,
       // The row contributes only when all k fields are non-null.
       bool has_null = false;
       for (size_t i = 0; i < agg.k; ++i) {
-        if (ReadBE32(rec.data() + i * 4) == kNullField) {
+        const char* field = rec.data() + i * kKeyFieldBytes;
+        if (ReadKeyField(field) == kNullKeyField) {
           has_null = true;
           break;
         }
@@ -295,9 +275,9 @@ Status RollUp(const CubeLattice& lattice, CuboidId p, CuboidId c,
   for (const auto& [key, state] : parent_cells) {
     X3_RETURN_IF_ERROR(ctx->Poll());
     GroupKey child_key;
-    child_key.reserve(key.size() - 4);
-    child_key.append(key, 0, drop_pos * 4);
-    child_key.append(key, drop_pos * 4 + 4, std::string::npos);
+    child_key.reserve(key.size() - kKeyFieldBytes);
+    child_key.append(key, 0, drop_pos * kKeyFieldBytes);
+    child_key.append(key, (drop_pos + 1) * kKeyFieldBytes, std::string::npos);
     result->MutableCell(c, child_key)->Merge(state);
   }
   stage.AddRows(result->cuboid(c).size());

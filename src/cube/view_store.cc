@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "cube/group_walk.h"
 #include "util/logging.h"
 
 namespace x3 {
@@ -21,43 +22,25 @@ const char* ViewStrategyToString(ViewStrategy s) {
   return "?";
 }
 
-Status CubeViewStore::FoldFacts(View* view, size_t first_fact,
-                                ExecutionContext* ctx,
+Status CubeViewStore::FoldFacts(CuboidId cuboid, View* view,
+                                size_t first_fact, ExecutionContext* ctx,
                                 uint64_t* cells_touched) const {
-  std::vector<std::vector<ValueId>> lists(view->present.size());
-  std::vector<size_t> idx;
-  std::vector<ValueId> tuple(view->present.size());
-  static const std::vector<ValueId> kNullList{kInvalidValueId};
-
+  // Null-value groups keep coverage-dropping facts visible to later
+  // roll-ups.
+  GroupWalk walk(*lattice_, cuboid, UncoveredAxis::kNullGroup);
   for (size_t f = first_fact; f < facts_->size(); ++f) {
     if (ctx != nullptr) X3_RETURN_IF_ERROR(ctx->Poll());
-    // Value-or-null list per present axis (null-value groups keep
-    // coverage-dropping facts visible to later roll-ups).
-    for (size_t i = 0; i < view->present.size(); ++i) {
-      size_t axis = view->present[i];
-      facts_->AdmittedValues(axis, f, view->states[axis], &lists[i]);
-      if (lists[i].empty()) lists[i] = kNullList;
-    }
-    idx.assign(view->present.size(), 0);
-    for (;;) {
-      for (size_t i = 0; i < view->present.size(); ++i) {
-        tuple[i] = lists[i][idx[i]];
-      }
-      ViewCell& cell = view->cells[PackGroupKey(tuple)];
-      cell.agg.Update(facts_->measure(f));
+    const int64_t measure = facts_->measure(f);
+    walk.ForEachGroup(*facts_, f, [&](const GroupKey& key) {
+      ViewCell& cell = view->cells[key];
+      cell.agg.Update(measure);
       if (view->with_fact_ids) {
         // Ascending f: hits FactIdSet's append fast path, and a fact
-        // enters a given cell at most once per odometer walk.
+        // enters a given cell at most once per walk.
         cell.facts.Add(static_cast<uint32_t>(f));
       }
       if (cells_touched != nullptr) ++*cells_touched;
-      size_t i = 0;
-      for (; i < view->present.size(); ++i) {
-        if (++idx[i] < lists[i].size()) break;
-        idx[i] = 0;
-      }
-      if (i == view->present.size()) break;
-    }
+    });
   }
   return Status::OK();
 }
@@ -73,7 +56,7 @@ Status CubeViewStore::Materialize(
     view.with_fact_ids = with_fact_ids;
     view.present = lattice_->PresentAxes(cuboids[v]);
     view.states = lattice_->Decode(cuboids[v]);
-    X3_RETURN_IF_ERROR(FoldFacts(&view, 0, ctx, nullptr));
+    X3_RETURN_IF_ERROR(FoldFacts(cuboids[v], &view, 0, ctx, nullptr));
     if (stats != nullptr) {
       stats->facts_scanned += facts_->size();
       stats->cells_built += view.cells.size();
@@ -162,7 +145,8 @@ Status CubeViewStore::ApplyDelta(CuboidId cuboid, size_t first_new_fact,
   // Same walk as Materialize, restricted to the delta facts: every new
   // fact lands in exactly the cells a full rebuild would put it in, so
   // the patched view equals a fresh materialization cell for cell.
-  return FoldFacts(&it->second, first_new_fact, nullptr, cells_touched);
+  return FoldFacts(cuboid, &it->second, first_new_fact, nullptr,
+                   cells_touched);
 }
 
 bool CubeViewStore::IsLndDescendant(const View& view, CuboidId target,
@@ -204,15 +188,15 @@ std::unordered_map<GroupKey, AggregateState> CubeViewStore::Project(
   for (const auto& [key, cell] : view.cells) {
     if (stats != nullptr) ++stats->view_cells_scanned;
     GroupKey target_key;
-    target_key.reserve(kept.size() * 4);
+    target_key.reserve(kept.size() * kKeyFieldBytes);
     bool has_null = false;
     for (size_t pos : kept) {
-      std::string_view field(key.data() + pos * 4, 4);
-      if (field == std::string_view("\xFF\xFF\xFF\xFF", 4)) {
+      const char* field = key.data() + pos * kKeyFieldBytes;
+      if (ReadKeyField(field) == kNullKeyField) {
         has_null = true;
         break;
       }
-      target_key.append(field);
+      target_key.append(field, kKeyFieldBytes);
     }
     if (has_null) continue;
     // Dropped-axis null cells DO contribute (the fact belongs to the
@@ -308,43 +292,19 @@ Result<std::unordered_map<GroupKey, AggregateState>> CubeViewStore::Answer(
     return from_views;
   }
 
+  // Fall back to the base table (unlocked: only the immutable fact
+  // table and lattice are touched).
+  st->strategy = ViewStrategy::kBase;
   std::unordered_map<GroupKey, AggregateState> out;
-  {
-    // Fall back to the base table (unlocked: only the immutable fact
-    // table and lattice are touched).
-    st->strategy = ViewStrategy::kBase;
-    std::vector<size_t> present = lattice_->PresentAxes(target);
-    std::vector<AxisStateId> states = lattice_->Decode(target);
-    std::vector<std::vector<ValueId>> lists(present.size());
-    std::vector<size_t> idx;
-    std::vector<ValueId> tuple(present.size());
-    for (size_t f = 0; f < facts_->size(); ++f) {
-      ++st->facts_scanned;
-      bool drop = false;
-      for (size_t i = 0; i < present.size(); ++i) {
-        facts_->AdmittedValues(present[i], f, states[present[i]], &lists[i]);
-        if (lists[i].empty()) {
-          drop = true;
-          break;
-        }
-      }
-      if (drop) continue;
-      idx.assign(present.size(), 0);
-      for (;;) {
-        for (size_t i = 0; i < present.size(); ++i) {
-          tuple[i] = lists[i][idx[i]];
-        }
-        out[PackGroupKey(tuple)].Update(facts_->measure(f));
-        size_t i = 0;
-        for (; i < present.size(); ++i) {
-          if (++idx[i] < lists[i].size()) break;
-          idx[i] = 0;
-        }
-        if (i == present.size()) break;
-      }
-    }
-    return out;
+  GroupWalk walk(*lattice_, target, UncoveredAxis::kDropFact);
+  for (size_t f = 0; f < facts_->size(); ++f) {
+    ++st->facts_scanned;
+    const int64_t measure = facts_->measure(f);
+    walk.ForEachGroup(*facts_, f, [&](const GroupKey& key) {
+      out[key].Update(measure);
+    });
   }
+  return out;
 }
 
 }  // namespace x3

@@ -134,7 +134,7 @@ class CubeViewStore {
 
   /// Folds facts [first_new_fact, facts()->size()) of the (re-finished)
   /// fact table into `cuboid`'s materialized view — the same
-  /// null-value-group odometer walk Materialize runs, restricted to the
+  /// null-value-group walk Materialize runs, restricted to the
   /// delta range, so the patched view is byte-identical to a fresh
   /// materialization. Caller is responsible for only patching views the
   /// delta plan proved safe. `cells_touched` (optional) accumulates the
@@ -181,7 +181,7 @@ class CubeViewStore {
     std::vector<size_t> present;
     /// Per-axis state of the view's cuboid.
     std::vector<AxisStateId> states;
-    /// Keyed over `present` (null fields = kInvalidValueId).
+    /// Keyed over `present` (null fields = kNullKeyField).
     std::unordered_map<GroupKey, ViewCell> cells;
   };
 
@@ -193,12 +193,12 @@ class CubeViewStore {
                        std::vector<size_t>* kept_positions,
                        std::vector<size_t>* dropped_axes) const;
 
-  /// Folds facts [first_fact, facts_->size()) into `view`: the
-  /// null-value-group odometer walk shared by Materialize and
-  /// ApplyDelta. Polls `ctx` (may be null) once per fact; counts cell
-  /// updates into `cells_touched` (may be null).
-  Status FoldFacts(View* view, size_t first_fact, ExecutionContext* ctx,
-                   uint64_t* cells_touched) const;
+  /// Folds facts [first_fact, facts_->size()) into `view`, the view of
+  /// `cuboid`: the null-value-group walk (cube/group_walk.h) shared by
+  /// Materialize and ApplyDelta. Polls `ctx` (may be null) once per
+  /// fact; counts cell updates into `cells_touched` (may be null).
+  Status FoldFacts(CuboidId cuboid, View* view, size_t first_fact,
+                   ExecutionContext* ctx, uint64_t* cells_touched) const;
 
   /// Projects `view`'s cells onto the key fields at `kept` positions,
   /// skipping cells with a null kept field; merges aggregates, or with

@@ -228,6 +228,7 @@ class ExecutionContext {
   ExecutionContext(const ExecutionContext&) = delete;
   ExecutionContext& operator=(const ExecutionContext&) = delete;
 
+  const Options& options() const { return options_; }
   MemoryBudget* budget() const { return options_.budget; }
   TempFileManager* temp_files() const { return options_.temp_files; }
   const CancellationToken* cancellation() const { return options_.cancel; }

@@ -14,12 +14,6 @@ Counter& UnionsCounter() {
   return *c;
 }
 
-Counter& IntersectionsCounter() {
-  static Counter* c = MetricRegistry::Global().GetCounter(
-      "x3_factset_intersections_total", "FactIdSet intersection operations");
-  return *c;
-}
-
 Counter& PromotionsCounter() {
   static Counter* c = MetricRegistry::Global().GetCounter(
       "x3_factset_container_promotions_total",
@@ -76,27 +70,6 @@ void FactIdSet::Promote(Chunk* chunk) {
   chunk->bitmap = std::move(bitmap);
   chunk->kind = ContainerKind::kBitmap;
   PromotionsCounter().Increment();
-}
-
-void FactIdSet::DemoteIfSmall(Chunk* chunk, size_t cardinality) {
-  if (chunk->kind != ContainerKind::kBitmap ||
-      cardinality > kArrayContainerMax) {
-    return;
-  }
-  std::vector<uint16_t> array;
-  array.reserve(cardinality);
-  for (size_t word = 0; word < kBitmapWords; ++word) {
-    uint64_t bits = chunk->bitmap[word];
-    while (bits != 0) {
-      int bit = __builtin_ctzll(bits);
-      array.push_back(static_cast<uint16_t>(word * 64 + bit));
-      bits &= bits - 1;
-    }
-  }
-  chunk->bitmap.clear();
-  chunk->bitmap.shrink_to_fit();
-  chunk->array = std::move(array);
-  chunk->kind = ContainerKind::kArray;
 }
 
 void FactIdSet::Add(uint32_t id) {
@@ -167,58 +140,10 @@ void FactIdSet::UnionWith(const FactIdSet& other) {
   for (const Chunk& chunk : chunks_) cardinality_ += chunk.Cardinality();
 }
 
-size_t FactIdSet::IntersectChunk(Chunk* dst, const Chunk& src) {
-  if (dst->kind == ContainerKind::kArray) {
-    std::vector<uint16_t> kept;
-    for (uint16_t low : dst->array) {
-      bool in_src =
-          src.kind == ContainerKind::kBitmap
-              ? BitmapTest(src.bitmap, low)
-              : std::binary_search(src.array.begin(), src.array.end(), low);
-      if (in_src) kept.push_back(low);
-    }
-    dst->array = std::move(kept);
-    return dst->array.size();
-  }
-  size_t cardinality = 0;
-  if (src.kind == ContainerKind::kBitmap) {
-    for (size_t word = 0; word < kBitmapWords; ++word) {
-      dst->bitmap[word] &= src.bitmap[word];
-      cardinality += __builtin_popcountll(dst->bitmap[word]);
-    }
-  } else {
-    std::vector<uint64_t> kept(kBitmapWords, 0);
-    for (uint16_t low : src.array) {
-      if (BitmapTest(dst->bitmap, low)) {
-        BitmapSet(kept, low);
-        ++cardinality;
-      }
-    }
-    dst->bitmap = std::move(kept);
-  }
-  DemoteIfSmall(dst, cardinality);
-  return cardinality;
-}
-
-void FactIdSet::IntersectWith(const FactIdSet& other) {
-  IntersectionsCounter().Increment();
-  std::vector<Chunk> kept;
-  cardinality_ = 0;
-  for (Chunk& dst : chunks_) {
-    const Chunk* src = other.FindChunk(dst.key);
-    if (src == nullptr) continue;
-    size_t cardinality = IntersectChunk(&dst, *src);
-    if (cardinality == 0) continue;
-    cardinality_ += cardinality;
-    kept.push_back(std::move(dst));
-  }
-  chunks_ = std::move(kept);
-}
-
 bool FactIdSet::operator==(const FactIdSet& other) const {
   if (cardinality_ != other.cardinality_) return false;
-  // Container kinds may differ for the same logical set (a demoted
-  // bitmap vs a built-up array), so compare elementwise.
+  // Compare elementwise: equality is of the logical sets, whatever
+  // containers hold them.
   bool equal = true;
   ForEach([&](uint32_t id) {
     if (equal && !other.Contains(id)) equal = false;

@@ -24,13 +24,12 @@ namespace x3 {
 ///                     bitmap is always smaller past the threshold).
 ///
 /// An array container promotes to a bitmap when an Add grows it past
-/// kArrayContainerMax; an intersection that shrinks a bitmap to
-/// <= kArrayContainerMax demotes it back. Iteration is always in
-/// ascending id order — BUC partition walks preserve their previous
-/// sorted-vector semantics exactly.
+/// kArrayContainerMax. Iteration is always in ascending id order — BUC
+/// partition walks preserve their previous sorted-vector semantics
+/// exactly.
 ///
-/// Union/intersection/cardinality ops feed x3_factset_*_total counters
-/// in the metric registry.
+/// Unions and promotions feed x3_factset_*_total counters in the metric
+/// registry.
 ///
 /// Not thread-safe; use external synchronization (the view store
 /// publishes sets under its own mutex).
@@ -60,9 +59,6 @@ class FactIdSet {
 
   /// this |= other.
   void UnionWith(const FactIdSet& other);
-  /// this &= other. Bitmap containers falling to or under
-  /// kArrayContainerMax demote back to arrays.
-  void IntersectWith(const FactIdSet& other);
 
   bool operator==(const FactIdSet& other) const;
   bool operator!=(const FactIdSet& other) const { return !(*this == other); }
@@ -115,11 +111,7 @@ class FactIdSet {
   Chunk* FindOrCreateChunk(uint16_t key);
   const Chunk* FindChunk(uint16_t key) const;
   static void Promote(Chunk* chunk);
-  /// Demotes a bitmap chunk back to an array when it fits.
-  static void DemoteIfSmall(Chunk* chunk, size_t cardinality);
   static void UnionChunk(Chunk* dst, const Chunk& src);
-  /// Returns the chunk's new cardinality (0 = caller should drop it).
-  static size_t IntersectChunk(Chunk* dst, const Chunk& src);
 
   /// Sorted by key; no empty chunks.
   std::vector<Chunk> chunks_;

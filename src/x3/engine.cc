@@ -42,16 +42,13 @@ Result<X3ExecutionResult> X3Engine::ExecuteQuery(
     options.min_count = query.min_count;
   }
 
-  // One context for the whole pipeline: either the caller's (its
-  // budget/temp_files win, see ComputeCube) or a local uncancellable
-  // one wrapping the option fields.
-  ExecutionContext local_ctx(ExecutionContext::Options{
-      options.budget, options.temp_files, nullptr, std::nullopt});
+  // One context for the whole pipeline: the caller's, or a local
+  // unlimited, uncancellable one.
+  ExecutionContext local_ctx;
   ExecutionContext* ctx =
       options.exec != nullptr ? options.exec : &local_ctx;
   options.exec = ctx;
-  MemoryBudget* budget =
-      ctx->budget() != nullptr ? ctx->budget() : options.budget;
+  MemoryBudget* budget = ctx->budget();
 
   Timer timer;
   // Prepare records the "materialize" stage (with the fact count as its

@@ -102,9 +102,9 @@ class X3Engine {
   /// Pipeline from an already-compiled query. When `options.exec` is
   /// set, its cancellation token and deadline cover the whole pipeline
   /// (materialization included) and its budget is charged for the
-  /// materialized fact table; otherwise an internal context is built
-  /// from `options.budget` / `options.temp_files`. Stage timings land
-  /// in X3ExecutionResult::stage_timings either way.
+  /// materialized fact table; otherwise it runs unlimited and
+  /// uncancellable. Stage timings land in
+  /// X3ExecutionResult::stage_timings either way.
   ///
   /// `options.parallelism` applies to the cube-computation phase only
   /// (pattern evaluation and fact materialization stay single-threaded)

@@ -1,7 +1,7 @@
 // FactIdSet (util/fact_id_set.h): the roaring-style compressed fact-id
 // set. Focus areas: the array->bitmap container boundary at 4096
-// elements per 64K chunk (both directions), and seeded randomized
-// union/intersection sweeps checked against a std::set oracle.
+// elements per 64K chunk, and seeded randomized union and membership
+// sweeps checked against a std::set oracle.
 
 #include "util/fact_id_set.h"
 
@@ -112,33 +112,6 @@ TEST(FactIdSetTest, UnionAcrossTheBoundaryPromotes) {
   EXPECT_EQ(a.ToVector(), SortedOf(oracle));
 }
 
-TEST(FactIdSetTest, IntersectionDemotesBitmapBackToArray) {
-  // A dense chunk (10000 elements, bitmap) intersected down to 10
-  // demotes back to an array container: the footprint drops from the
-  // 8 KB bitmap to a few bytes.
-  FactIdSet dense;
-  for (uint32_t i = 0; i < 10000; ++i) dense.Add(i);
-  EXPECT_GE(dense.ApproxBytes(), 8 * 1024u);
-  FactIdSet sparse;
-  for (uint32_t i = 0; i < 10; ++i) sparse.Add(i * 1000);
-  dense.IntersectWith(sparse);
-  EXPECT_EQ(dense.cardinality(), 10u);
-  EXPECT_LT(dense.ApproxBytes(), 1024u);
-  EXPECT_EQ(dense.ToVector(),
-            (std::vector<uint32_t>{0, 1000, 2000, 3000, 4000, 5000, 6000,
-                                   7000, 8000, 9000}));
-}
-
-TEST(FactIdSetTest, IntersectionDropsEmptyChunks) {
-  FactIdSet a = FactIdSet::FromIds({1, 2, 70000});
-  FactIdSet b = FactIdSet::FromIds({70000, 200000});
-  a.IntersectWith(b);
-  EXPECT_EQ(a.ToVector(), std::vector<uint32_t>{70000});
-  a.IntersectWith(FactIdSet());
-  EXPECT_TRUE(a.empty());
-  EXPECT_LT(a.ApproxBytes(), 256u);
-}
-
 // --- Seeded randomized sweeps vs std::set oracle ---------------------------
 
 class FactIdSetRandomTest : public ::testing::TestWithParam<uint64_t> {};
@@ -176,25 +149,6 @@ TEST_P(FactIdSetRandomTest, UnionMatchesOracle) {
   }
 }
 
-TEST_P(FactIdSetRandomTest, IntersectionMatchesOracle) {
-  Random rng(GetParam() + 1000);
-  for (int round = 0; round < 20; ++round) {
-    uint32_t universe = round % 2 == 0 ? 15000 : 300000;
-    std::set<uint32_t> oracle_a = RandomOracle(&rng, 9000, universe);
-    std::set<uint32_t> oracle_b = RandomOracle(&rng, 9000, universe);
-    FactIdSet a = FactIdSet::FromIds(
-        std::vector<uint32_t>(oracle_a.begin(), oracle_a.end()));
-    FactIdSet b = FactIdSet::FromIds(
-        std::vector<uint32_t>(oracle_b.begin(), oracle_b.end()));
-    std::vector<uint32_t> expected;
-    std::set_intersection(oracle_a.begin(), oracle_a.end(), oracle_b.begin(),
-                          oracle_b.end(), std::back_inserter(expected));
-    a.IntersectWith(b);
-    ASSERT_EQ(a.cardinality(), expected.size()) << "round " << round;
-    ASSERT_EQ(a.ToVector(), expected) << "round " << round;
-  }
-}
-
 TEST_P(FactIdSetRandomTest, ContainsMatchesOracle) {
   Random rng(GetParam() + 2000);
   std::set<uint32_t> oracle = RandomOracle(&rng, 6000, 100000);
@@ -212,16 +166,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FactIdSetRandomTest,
 TEST(FactIdSetTest, OpsFeedMetricRegistry) {
   Counter* unions = MetricRegistry::Global().GetCounter(
       "x3_factset_unions_total", "FactIdSet union operations");
-  Counter* intersections = MetricRegistry::Global().GetCounter(
-      "x3_factset_intersections_total", "FactIdSet intersection operations");
   uint64_t unions_before = unions->value();
-  uint64_t intersections_before = intersections->value();
   FactIdSet a = FactIdSet::FromIds({1, 2, 3});
   FactIdSet b = FactIdSet::FromIds({3, 4});
   a.UnionWith(b);
-  a.IntersectWith(b);
   EXPECT_EQ(unions->value(), unions_before + 1);
-  EXPECT_EQ(intersections->value(), intersections_before + 1);
 }
 
 }  // namespace

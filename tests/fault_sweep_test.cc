@@ -86,9 +86,9 @@ WorkloadResult RunWorkload(Env* env, const std::string& xml_path,
     X3_RETURN_IF_ERROR(db->Checkpoint());
 
     X3Engine engine(db.get());
+    ExecutionContext ctx({budget, temp, nullptr, std::nullopt});
     CubeComputeOptions copts;
-    copts.budget = budget;
-    copts.temp_files = temp;
+    copts.exec = &ctx;
     copts.compress_spill = compress;
     X3_ASSIGN_OR_RETURN(X3ExecutionResult exec,
                         engine.Execute(kQuery, CubeAlgorithm::kTD, copts));

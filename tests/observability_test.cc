@@ -621,13 +621,14 @@ TEST(EngineMetricsTest, SpillingRunCountsSorterAndEnvTraffic) {
   // which drives the sorter and Env counters.
   TempFileManager temp;
   MemoryBudget budget(workload->facts.ApproxBytes() / 4);
+  ExecutionContext ctx({&budget, &temp, nullptr, std::nullopt});
   CubeComputeOptions options;
   options.properties = &workload->properties;
-  options.budget = &budget;
-  options.temp_files = &temp;
+  options.exec = &ctx;
   auto cube = ComputeCube(CubeAlgorithm::kTD, workload->facts,
                           workload->lattice, options);
   ASSERT_TRUE(cube.ok()) << cube.status();
+  EXPECT_EQ(budget.used(), 0u);
 
   std::map<std::string, int64_t> snap = reg.SnapshotValues();
   EXPECT_GT(snap.at("x3_sort_runs_spilled_total"), 0);
@@ -646,13 +647,14 @@ TEST(EngineMetricsTest, MetricsAreDeterministicAcrossIdenticalRuns) {
     MetricRegistry::Global().ResetAllForTest();
     TempFileManager temp;
     MemoryBudget budget(workload->facts.ApproxBytes() / 4);
+    ExecutionContext ctx({&budget, &temp, nullptr, std::nullopt});
     CubeComputeOptions options;
     options.properties = &workload->properties;
-    options.budget = &budget;
-    options.temp_files = &temp;
+    options.exec = &ctx;
     auto cube = ComputeCube(CubeAlgorithm::kTDOpt, workload->facts,
                             workload->lattice, options);
     X3_CHECK(cube.ok()) << cube.status();
+    X3_CHECK(budget.used() == 0) << "leaked budget";
     std::map<std::string, int64_t> snap =
         MetricRegistry::Global().SnapshotValues();
     // Drop time-valued metrics: their counts and sums are the only

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "pattern/join_matcher.h"
-#include "pattern/path_stack.h"
 #include "pattern/pattern_parser.h"
 #include "pattern/tree_pattern.h"
 #include "pattern/twig_matcher.h"
@@ -337,7 +336,6 @@ TEST(ValuePredicateTest, AllMatchersFilterByValue) {
   ASSERT_NE(db, nullptr);
   TwigMatcher twig(db.get());
   JoinMatcher join(db.get());
-  PathStackMatcher holistic(db.get());
 
   auto parsed = ParsePattern("//publication/year[.=\"2003\"]");
   ASSERT_TRUE(parsed.ok());
@@ -346,13 +344,10 @@ TEST(ValuePredicateTest, AllMatchersFilterByValue) {
   // Pubs 1 and 3 have a 2003 year child.
   EXPECT_EQ(twig_matches->size(), 2u);
   auto join_matches = join.FindMatches(parsed->pattern);
-  auto path_matches = holistic.FindMatches(parsed->pattern);
   ASSERT_TRUE(join_matches.ok());
-  ASSERT_TRUE(path_matches.ok());
   // (SortedWitnesses defined below; compare sizes then full sets after
   // its definition via the equivalence tests.)
   EXPECT_EQ(join_matches->size(), 2u);
-  EXPECT_EQ(path_matches->size(), 2u);
 
   // Value on the root node.
   auto name = ParsePattern("//name[.=\"John\"]");
@@ -373,7 +368,6 @@ TEST(ValuePredicateTest, AllMatchersFilterByValue) {
   ASSERT_TRUE(none.ok());
   EXPECT_TRUE(twig.FindMatches(none->pattern)->empty());
   EXPECT_TRUE(join.FindMatches(none->pattern)->empty());
-  EXPECT_TRUE(holistic.FindMatches(none->pattern)->empty());
 }
 
 TEST(ValuePredicateTest, EmbedsRespectsFilter) {
@@ -470,96 +464,6 @@ TEST_P(JoinMatcherPropertyTest, AgreesWithTwigMatcherOnRandomTrees) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, JoinMatcherPropertyTest,
                          ::testing::Values(41, 42, 43, 44, 45, 46));
-
-// --- PathStack (holistic path evaluation) ---
-
-TEST(PathStackTest, SupportsOnlyChains) {
-  EXPECT_TRUE(
-      PathStackMatcher::Supports(ParsePattern("//a/b//c")->pattern));
-  EXPECT_TRUE(PathStackMatcher::Supports(ParsePattern("//a")->pattern));
-  EXPECT_FALSE(
-      PathStackMatcher::Supports(ParsePattern("//a[./b]/c")->pattern));
-  EXPECT_FALSE(
-      PathStackMatcher::Supports(ParsePattern("//a/b?")->pattern));
-}
-
-TEST(PathStackTest, AgreesWithTwigMatcherOnFigure1Chains) {
-  auto db = OpenFigure1Db();
-  ASSERT_NE(db, nullptr);
-  TwigMatcher twig(db.get());
-  PathStackMatcher holistic(db.get());
-  for (const char* text :
-       {"//publication//author//name", "//publication/author/name",
-        "//publication//publisher/@id", "//publication/year",
-        "//database//publication//year", "//publication", "//nosuchtag",
-        "//database//author", "//authors/author"}) {
-    auto parsed = ParsePattern(text);
-    ASSERT_TRUE(parsed.ok()) << text;
-    auto twig_matches = twig.FindMatches(parsed->pattern);
-    auto path_matches = holistic.FindMatches(parsed->pattern);
-    ASSERT_TRUE(twig_matches.ok()) << text;
-    ASSERT_TRUE(path_matches.ok()) << text;
-    EXPECT_EQ(SortedWitnesses(*twig_matches), SortedWitnesses(*path_matches))
-        << text;
-  }
-}
-
-TEST(PathStackTest, RepeatedTagsNeedStrictContainment) {
-  auto db = testutil::OpenDb();
-  ASSERT_NE(db, nullptr);
-  ASSERT_TRUE(db->LoadXmlString("<a><a><a/></a><b><a/></b></a>").ok());
-  TwigMatcher twig(db.get());
-  PathStackMatcher holistic(db.get());
-  for (const char* text : {"//a//a", "//a//a//a", "//a/a"}) {
-    auto parsed = ParsePattern(text);
-    ASSERT_TRUE(parsed.ok());
-    auto twig_matches = twig.FindMatches(parsed->pattern);
-    auto path_matches = holistic.FindMatches(parsed->pattern);
-    ASSERT_TRUE(twig_matches.ok()) << text;
-    ASSERT_TRUE(path_matches.ok()) << text;
-    EXPECT_EQ(SortedWitnesses(*twig_matches), SortedWitnesses(*path_matches))
-        << text;
-  }
-}
-
-TEST(PathStackTest, RejectsBranchingPatterns) {
-  auto db = OpenFigure1Db();
-  ASSERT_NE(db, nullptr);
-  PathStackMatcher holistic(db.get());
-  auto parsed = ParsePattern("//publication[./author]/year");
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(holistic.FindMatches(parsed->pattern).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-class PathStackPropertyTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(PathStackPropertyTest, AgreesWithTwigMatcherOnRandomTrees) {
-  Random rng(GetParam());
-  auto db = testutil::OpenDb();
-  ASSERT_NE(db, nullptr);
-  for (int docs = 0; docs < 2; ++docs) {
-    XmlDocument doc(testutil::RandomTree(&rng, 80, 3, 3));
-    ASSERT_TRUE(db->LoadDocument(doc).ok());
-  }
-  TwigMatcher twig(db.get());
-  PathStackMatcher holistic(db.get());
-  for (const char* text :
-       {"//t0//t1", "//t0/t1", "//t0//t1//t2", "//t0/t1//t2", "//t1//t1",
-        "//t2//t0/t1", "//t0//t0//t0"}) {
-    auto parsed = ParsePattern(text);
-    ASSERT_TRUE(parsed.ok());
-    auto twig_matches = twig.FindMatches(parsed->pattern);
-    auto path_matches = holistic.FindMatches(parsed->pattern);
-    ASSERT_TRUE(twig_matches.ok()) << text;
-    ASSERT_TRUE(path_matches.ok()) << text;
-    EXPECT_EQ(SortedWitnesses(*twig_matches), SortedWitnesses(*path_matches))
-        << text;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, PathStackPropertyTest,
-                         ::testing::Values(61, 62, 63, 64, 65, 66, 67, 68));
 
 /// Property: every witness tree's bindings satisfy the pattern's edges.
 class TwigWitnessPropertyTest : public ::testing::TestWithParam<uint64_t> {};

@@ -8,7 +8,6 @@
 #include "storage/buffer_pool.h"
 #include "storage/external_sorter.h"
 #include "storage/page_file.h"
-#include "storage/slotted_page.h"
 #include "storage/temp_file.h"
 #include "util/random.h"
 #include "util/string_util.h"
@@ -219,65 +218,6 @@ TEST_F(BufferPoolTest, ConcurrentFetchAndNewAreRaceFree) {
   EXPECT_GE(stats.hits + stats.misses,
             static_cast<uint64_t>(kThreads) * kPagesPerThread * kRounds);
   ASSERT_TRUE(pool_->FlushAll().ok());
-}
-
-TEST(SlottedPageTest, InsertAndGet) {
-  Page raw;
-  SlottedPage page(&raw);
-  page.Init();
-  EXPECT_EQ(page.record_count(), 0u);
-
-  auto s1 = page.Insert("hello");
-  auto s2 = page.Insert("world!");
-  ASSERT_TRUE(s1.ok());
-  ASSERT_TRUE(s2.ok());
-  EXPECT_EQ(*page.Get(*s1), "hello");
-  EXPECT_EQ(*page.Get(*s2), "world!");
-  EXPECT_EQ(page.record_count(), 2u);
-}
-
-TEST(SlottedPageTest, EmptyRecordAllowed) {
-  Page raw;
-  SlottedPage page(&raw);
-  page.Init();
-  auto slot = page.Insert("");
-  ASSERT_TRUE(slot.ok());
-  EXPECT_EQ(*page.Get(*slot), "");
-}
-
-TEST(SlottedPageTest, FillsUntilFull) {
-  Page raw;
-  SlottedPage page(&raw);
-  page.Init();
-  std::string record(100, 'x');
-  size_t inserted = 0;
-  while (page.Fits(record.size())) {
-    ASSERT_TRUE(page.Insert(record).ok());
-    ++inserted;
-  }
-  EXPECT_GT(inserted, 70u);  // ~8K / 104
-  EXPECT_EQ(page.Insert(record).status().code(),
-            StatusCode::kResourceExhausted);
-  // All records still intact.
-  for (SlotId s = 0; s < page.record_count(); ++s) {
-    EXPECT_EQ(*page.Get(s), record);
-  }
-}
-
-TEST(SlottedPageTest, OversizeRecordRejected) {
-  Page raw;
-  SlottedPage page(&raw);
-  page.Init();
-  std::string record(SlottedPage::MaxRecordSize() + 1, 'x');
-  EXPECT_EQ(page.Insert(record).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(SlottedPageTest, GetOutOfRange) {
-  Page raw;
-  SlottedPage page(&raw);
-  page.Init();
-  EXPECT_EQ(page.Get(0).status().code(), StatusCode::kOutOfRange);
 }
 
 TEST(TempFileTest, PathsAreUnique) {
@@ -492,37 +432,6 @@ TEST_P(BufferPoolModelTest, MatchesInMemoryModel) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BufferPoolModelTest,
                          ::testing::Values(501, 502, 503, 504));
-
-/// Slotted page property: any sequence of random-size inserts that
-/// reports success must be fully readable back, byte-exact.
-class SlottedPageModelTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(SlottedPageModelTest, RandomFillReadsBack) {
-  Page raw;
-  SlottedPage page(&raw);
-  page.Init();
-  Random rng(GetParam());
-  std::vector<std::string> model;
-  for (int i = 0; i < 1000; ++i) {
-    size_t len = rng.Uniform(300);
-    std::string record(len, '\0');
-    for (char& c : record) c = static_cast<char>(rng.Uniform(256));
-    auto slot = page.Insert(record);
-    if (!slot.ok()) {
-      EXPECT_EQ(slot.status().code(), StatusCode::kResourceExhausted);
-      break;
-    }
-    EXPECT_EQ(*slot, model.size());
-    model.push_back(std::move(record));
-  }
-  ASSERT_EQ(page.record_count(), model.size());
-  for (SlotId s = 0; s < model.size(); ++s) {
-    EXPECT_EQ(*page.Get(s), model[s]);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SlottedPageModelTest,
-                         ::testing::Values(601, 602, 603));
 
 TEST(BytewiseCompareTest, PrefixOrdering) {
   EXPECT_LT(BytewiseCompare("ab", "abc"), 0);

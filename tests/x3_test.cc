@@ -386,8 +386,9 @@ TEST(EngineTest, BudgetChargedForMaterializedFacts) {
   X3Engine engine(db.get());
 
   MemoryBudget budget(64 * 1024 * 1024);
+  ExecutionContext ctx({&budget, nullptr, nullptr, std::nullopt});
   CubeComputeOptions options;
-  options.budget = &budget;
+  options.exec = &ctx;
   auto result = engine.Execute(kQuery1, CubeAlgorithm::kBUC, options);
   ASSERT_TRUE(result.ok()) << result.status();
 
