@@ -62,17 +62,19 @@ void BM_AblationBucIceberg(benchmark::State& state) {
   setting.num_trees = 5000;
   setting.dense = false;
   const Workload& workload = bench::CachedTreebankWorkload(setting);
-  CubeComputeOptions options;
-  options.min_count = state.range(0);
-  CubeComputeStats stats;
+  uint64_t partition_rows = 0;
   for (auto _ : state) {
+    ExecutionContext ctx;
+    CubeComputeOptions options;
+    options.min_count = state.range(0);
+    options.exec = &ctx;
     auto cube = ComputeCube(CubeAlgorithm::kBUC, workload.facts,
-                            workload.lattice, options, &stats);
+                            workload.lattice, options);
     X3_CHECK(cube.ok());
+    partition_rows = ctx.costs().partition_rows.value();
     benchmark::DoNotOptimize(cube->TotalCells());
   }
-  state.counters["partition_rows"] =
-      static_cast<double>(stats.partition_rows);
+  state.counters["partition_rows"] = static_cast<double>(partition_rows);
 }
 BENCHMARK(BM_AblationBucIceberg)->Arg(0)->Arg(10)->Arg(100)
     ->Unit(benchmark::kMillisecond);
@@ -84,19 +86,20 @@ void BM_AblationCounterBudget(benchmark::State& state) {
   setting.dense = false;
   const Workload& workload = bench::CachedTreebankWorkload(setting);
   size_t budget_bytes = static_cast<size_t>(state.range(0)) * 1024;
-  CubeComputeStats stats;
+  uint64_t passes = 0;
   for (auto _ : state) {
     MemoryBudget budget(budget_bytes);
     ExecutionContext ctx({&budget, nullptr, nullptr, std::nullopt});
     CubeComputeOptions options;
     options.exec = &ctx;
     auto cube = ComputeCube(CubeAlgorithm::kCounter, workload.facts,
-                            workload.lattice, options, &stats);
+                            workload.lattice, options);
     X3_CHECK(cube.ok());
     X3_CHECK(budget.used() == 0);
+    passes = ctx.costs().passes.value();
     benchmark::DoNotOptimize(cube->TotalCells());
   }
-  state.counters["passes"] = static_cast<double>(stats.passes);
+  state.counters["passes"] = static_cast<double>(passes);
 }
 BENCHMARK(BM_AblationCounterBudget)
     ->Arg(16384)  // effectively unbounded: one pass

@@ -95,7 +95,11 @@ inline void RunCubeBenchmark(benchmark::State& state, CubeAlgorithm algo,
       static_cast<size_t>(
           static_cast<double>(workload.facts.ApproxBytes()) * budget_factor),
       64 * 1024);
-  CubeComputeStats stats;
+  // Cost counts of the last iteration's computation.
+  uint64_t passes = 0;
+  uint64_t sorts = 0;
+  uint64_t spill_bytes = 0;
+  uint64_t rollups = 0;
   uint64_t cells = 0;
   size_t peak_bytes = 0;
   double plan_ms = 0;
@@ -118,9 +122,12 @@ inline void RunCubeBenchmark(benchmark::State& state, CubeAlgorithm algo,
     if (const char* env = std::getenv("X3_BENCH_COMPRESS_SPILL")) {
       options.compress_spill = std::atoi(env) != 0;
     }
-    auto cube =
-        ComputeCube(algo, workload.facts, workload.lattice, options, &stats);
+    auto cube = ComputeCube(algo, workload.facts, workload.lattice, options);
     X3_CHECK(cube.ok()) << cube.status();
+    passes = ctx.costs().passes.value();
+    sorts = ctx.costs().sorts.value();
+    spill_bytes = ctx.costs().spill_bytes.value();
+    rollups = ctx.costs().rollups.value();
     cells = cube->TotalCells();
     peak_bytes = budget.peak();
     benchmark::DoNotOptimize(cells);
@@ -133,19 +140,18 @@ inline void RunCubeBenchmark(benchmark::State& state, CubeAlgorithm algo,
   state.counters["facts"] = static_cast<double>(workload.facts.size());
   state.counters["cuboids"] =
       static_cast<double>(workload.lattice.num_cuboids());
-  state.counters["passes"] = static_cast<double>(stats.passes);
-  state.counters["sorts"] = static_cast<double>(stats.sorts);
+  state.counters["passes"] = static_cast<double>(passes);
+  state.counters["sorts"] = static_cast<double>(sorts);
   state.counters["spillMB"] =
-      static_cast<double>(stats.spill_bytes) / (1024.0 * 1024.0);
-  state.counters["rollups"] = static_cast<double>(stats.rollups);
+      static_cast<double>(spill_bytes) / (1024.0 * 1024.0);
+  state.counters["rollups"] = static_cast<double>(rollups);
   // Footprint counters for the perf-trajectory capture
   // (scripts/bench_capture.py): the fact table's resident bytes and the
   // peak MemoryBudget charge of the last iteration's computation.
   state.counters["factKB"] =
       static_cast<double>(workload.facts.ApproxBytes()) / 1024.0;
   state.counters["peakMemKB"] = static_cast<double>(peak_bytes) / 1024.0;
-  state.counters["spillKB"] =
-      static_cast<double>(stats.spill_bytes) / 1024.0;
+  state.counters["spillKB"] = static_cast<double>(spill_bytes) / 1024.0;
   // Stage breakdown from the execution context (last iteration): plan
   // time plus whichever per-stage family the algorithm recorded.
   state.counters["planMs"] = plan_ms;

@@ -52,10 +52,12 @@ int main(int argc, char** argv) {
         x3::CubeAlgorithm::kBUCOpt, x3::CubeAlgorithm::kBUCCust,
         x3::CubeAlgorithm::kTD, x3::CubeAlgorithm::kTDOpt,
         x3::CubeAlgorithm::kTDOptAll, x3::CubeAlgorithm::kTDCust}) {
-    x3::CubeComputeStats stats;
+    x3::ExecutionContext ctx;
+    x3::CubeComputeOptions run = options;
+    run.exec = &ctx;
     x3::Timer timer;
-    auto cube = x3::ComputeCube(algo, workload->facts, workload->lattice,
-                                options, &stats);
+    auto cube =
+        x3::ComputeCube(algo, workload->facts, workload->lattice, run);
     double ms = timer.ElapsedSeconds() * 1e3;
     if (!cube.ok()) {
       std::fprintf(stderr, "%s: %s\n", x3::CubeAlgorithmToString(algo),
@@ -65,8 +67,8 @@ int main(int argc, char** argv) {
     bool correct = reference->Equals(*cube);
     std::printf("%-10s %10.2f %8llu %8llu %8llu  %s\n",
                 x3::CubeAlgorithmToString(algo), ms,
-                static_cast<unsigned long long>(stats.sorts),
-                static_cast<unsigned long long>(stats.rollups),
+                static_cast<unsigned long long>(ctx.costs().sorts.value()),
+                static_cast<unsigned long long>(ctx.costs().rollups.value()),
                 static_cast<unsigned long long>(cube->TotalCells()),
                 correct ? "yes" : "NO (assumptions violated)");
   }

@@ -79,10 +79,9 @@ int main(int argc, char** argv) {
     x3::CubeComputeOptions options;
     options.exec = &ctx;
     options.properties = &workload->properties;
-    x3::CubeComputeStats stats;
     x3::Timer t;
-    auto cube = x3::ComputeCube(algo, workload->facts, workload->lattice,
-                                options, &stats);
+    auto cube =
+        x3::ComputeCube(algo, workload->facts, workload->lattice, options);
     if (!cube.ok()) {
       std::fprintf(stderr, "%s: %s\n", x3::CubeAlgorithmToString(algo),
                    cube.status().ToString().c_str());
@@ -90,10 +89,11 @@ int main(int argc, char** argv) {
     }
     std::printf("%-10s %10.1f %8llu %8llu %10.2f %10llu\n",
                 x3::CubeAlgorithmToString(algo), t.ElapsedSeconds() * 1e3,
-                static_cast<unsigned long long>(stats.passes),
-                static_cast<unsigned long long>(stats.sorts),
-                static_cast<double>(stats.spill_bytes) / (1024.0 * 1024.0),
-                static_cast<unsigned long long>(stats.peak_memory / 1024));
+                static_cast<unsigned long long>(ctx.costs().passes.value()),
+                static_cast<unsigned long long>(ctx.costs().sorts.value()),
+                static_cast<double>(ctx.costs().spill_bytes.value()) /
+                    (1024.0 * 1024.0),
+                static_cast<unsigned long long>(budget.peak() / 1024));
   }
 
   std::printf(

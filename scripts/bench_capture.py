@@ -14,12 +14,12 @@ row-major -> columnar FactTable refactor).
 
 Commands:
   capture  --build-dir DIR --out FILE --side {before,after} --label TXT
-           [--trees N] [--compress-spill]
+           [--trees N] [--compress-spill] [--min-time T]
       Runs the benchmarks and writes/updates one side of the snapshot.
       --compress-spill runs the TD family with block-compressed spill
       runs; the flag is recorded in the side so `check` replays the
       same configuration.
-  check    --baseline FILE --build-dir DIR [--tolerance PCT]
+  check    --baseline FILE --build-dir DIR [--tolerance PCT] [--min-time T]
       CI regression gate: re-runs the benchmarks at the scale recorded
       in the baseline's `after` (or only) side and fails if any
       machine-independent counter regressed: cells must match exactly,
@@ -80,7 +80,8 @@ DELTA_PATHS = ["DeltaMaintain", "FullRematerialize", "FullRecomputeTD"]
 DELTA_DEFAULT_TREES = 2000
 
 
-def run_figure(build_dir, figure, trees, budget_factor, compress_spill):
+def run_figure(build_dir, figure, trees, budget_factor, compress_spill,
+               min_time):
     """Runs one figure binary, returns {benchmark_name: metrics dict}."""
     binary = os.path.join(build_dir, "bench", BINARY[figure])
     if not os.path.exists(binary):
@@ -93,7 +94,7 @@ def run_figure(build_dir, figure, trees, budget_factor, compress_spill):
     env["X3_BENCH_COMPRESS_SPILL"] = "1" if compress_spill else "0"
     try:
         subprocess.run(
-            [binary, "--benchmark_min_time=1x",
+            [binary, f"--benchmark_min_time={min_time}",
              f"--benchmark_out={out_path}", "--benchmark_out_format=json"],
             env=env, check=True, stdout=subprocess.DEVNULL)
         with open(out_path) as f:
@@ -141,7 +142,7 @@ def git_commit():
         return "unknown"
 
 
-def capture_side(build_dir, trees, compress_spill):
+def capture_side(build_dir, trees, compress_spill, min_time):
     figures = {}
     for figure in FIGURES:
         figures[figure] = {}
@@ -150,7 +151,7 @@ def capture_side(build_dir, trees, compress_spill):
                   f"{trees} trees, compress_spill={compress_spill})...",
                   flush=True)
             figures[figure][config] = run_figure(
-                build_dir, figure, trees, factor, compress_spill)
+                build_dir, figure, trees, factor, compress_spill, min_time)
     return figures
 
 
@@ -168,7 +169,7 @@ def cmd_capture(args):
         "commit": git_commit(),
         "compress_spill": args.compress_spill,
         "figures": capture_side(args.build_dir, args.trees,
-                                args.compress_spill),
+                                args.compress_spill, args.min_time),
     }
     side["summary"] = summarize(side["figures"])
     snapshot[args.side] = side
@@ -190,7 +191,8 @@ def cmd_check(args):
     compress_spill = side.get("compress_spill", False)
     print(f"re-running capture at trees={trees} against "
           f"'{side['label']}' ({side['commit']})")
-    current = capture_side(args.build_dir, trees, compress_spill)
+    current = capture_side(args.build_dir, trees, compress_spill,
+                           args.min_time)
     failures = []
     wall_base = 0.0
     wall_now = 0.0
@@ -413,6 +415,14 @@ def cmd_report(args):
               f"| {s['spill_kb_total']} | {s['fact_kb_max']} |")
 
 
+def add_min_time(p):
+    p.add_argument("--min-time", default="1x",
+                   help="--benchmark_min_time value; the packaged "
+                        "library in CI accepts the '1x' iteration form, "
+                        "older local builds need a plain double (0 runs "
+                        "one iteration)")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -426,12 +436,14 @@ def main():
     p.add_argument("--compress-spill", action="store_true",
                    help="run the TD family with block-compressed spill "
                         "runs (recorded in the side; check replays it)")
+    add_min_time(p)
     p.set_defaults(func=cmd_capture)
 
     p = sub.add_parser("check")
     p.add_argument("--baseline", required=True)
     p.add_argument("--build-dir", default="build")
     p.add_argument("--tolerance", type=float, default=10.0)
+    add_min_time(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("report")
@@ -443,10 +455,7 @@ def main():
     p.add_argument("--out", required=True)
     p.add_argument("--label", required=True)
     p.add_argument("--trees", type=int, default=DELTA_DEFAULT_TREES)
-    p.add_argument("--min-time", default="1x",
-                   help="--benchmark_min_time value; the packaged "
-                        "library in CI accepts the '1x' iteration form, "
-                        "older local builds need a plain double")
+    add_min_time(p)
     p.set_defaults(func=cmd_capture_delta)
 
     p = sub.add_parser("capture-server")

@@ -45,8 +45,8 @@ Rules (see docs/STATIC_ANALYSIS.md for the rationale):
   raw-fact-set       No std::set/std::unordered_set of raw integer fact
                      ids in src/cube/: fact-id sets are FactIdSet
                      (util/fact_id_set.h), the compressed roaring-style
-                     representation, so cardinality and union
-                     stay O(words) and the memory budget stays honest.
+                     representation, so cardinality stays O(1) and the
+                     memory budget stays honest.
   raw-mutex          No bare std::mutex / std::condition_variable /
                      std::lock_guard / std::unique_lock (or their timed/
                      recursive/shared cousins) in src/ outside
@@ -92,6 +92,13 @@ Rules (see docs/STATIC_ANALYSIS.md for the rationale):
                      printed anywhere else is invisible to the statusz/
                      JSONL consumers and unattributable to a query.
                      (fprintf is already banned repo-wide by raw-stdio.)
+
+  metric-once        A metric name literal ("x3_...") appears on one line
+                     of src/ only: each metric has one registration
+                     site, an accessor every reader and writer calls.
+                     A second GetCounter("x3_...") elsewhere would be a
+                     second source that can drift (two help strings, or
+                     two increments of one event).
 
 A finding can be suppressed with a trailing comment naming the rule:
     some_call();  // x3-lint: allow(raw-new-delete) -- justification
@@ -163,6 +170,8 @@ RAW_PAGE_WRITE = re.compile(
 ODOMETER_ADVANCE = re.compile(r"\+\+\s*\w+\s*\[\s*\w+\s*\]\s*<")
 KEY_FIELD_ENCODE = re.compile(r">>\s*24\s*\)\s*&\s*0x[fF][fF]")
 GROUP_WALK_HOMES = ("src/cube/group_walk.h", "src/cube/cube_result.cc")
+# A metric name literal: the registry's names all start with x3_.
+METRIC_LITERAL = re.compile(r'"(x3_\w+)"')
 ALLOW = re.compile(r"x3-lint:\s*allow\(([\w-]+)\)")
 
 
@@ -203,6 +212,9 @@ class Linter:
     def __init__(self, root):
         self.root = root
         self.findings = []
+        # metric name -> [(path, lineno)] of its src/ literals (lines
+        # carrying allow(metric-once) are not sites)
+        self.metric_sites = {}
 
     def report(self, path, lineno, rule, message, raw_line):
         allow = ALLOW.search(raw_line)
@@ -245,6 +257,17 @@ class Linter:
                     break
                 line = line[:start] + " " * (end + 2 - start) + line[end + 2:]
             code = strip_comments_and_strings(line)
+
+            allow = ALLOW.search(raw)
+            if in_src and not (allow and allow.group(1) == "metric-once"):
+                for m in METRIC_LITERAL.finditer(line):
+                    # A literal of code, not of a comment: stripping kept
+                    # its quotes in place (comments are cut off).
+                    if code[m.start():m.start() + 1] == '"' and \
+                            code[m.end() - 1:m.end()] == '"':
+                        sites = self.metric_sites.setdefault(m.group(1), [])
+                        if not sites or sites[-1] != (path, lineno):
+                            sites.append((path, lineno))
 
             if GUARD.search(code):
                 has_guard = True
@@ -348,11 +371,23 @@ class Linter:
             if not os.path.isdir(top):
                 continue
             for dirpath, dirnames, filenames in os.walk(top):
-                dirnames[:] = [x for x in dirnames if x != "build"]
+                dirnames[:] = sorted(x for x in dirnames if x != "build")
                 for name in sorted(filenames):
                     if name.endswith(CC_EXTENSIONS):
                         self.lint_file(os.path.join(dirpath, name))
+        self.check_metric_once()
         return self.findings
+
+    def check_metric_once(self):
+        for name, sites in sorted(self.metric_sites.items()):
+            if len(sites) < 2:
+                continue
+            first = "%s:%d" % (os.path.relpath(sites[0][0], self.root),
+                               sites[0][1])
+            for path, lineno in sites[1:]:
+                self.report(path, lineno, "metric-once",
+                            "metric %s is also named at %s; give it one "
+                            "accessor and call that" % (name, first), "")
 
 
 def main():

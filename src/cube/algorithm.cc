@@ -1,6 +1,5 @@
 #include "cube/algorithm.h"
 
-#include <algorithm>
 #include <optional>
 
 #include "cube/executor.h"
@@ -70,23 +69,9 @@ Result<CubeAlgorithm> ParseCubeAlgorithm(std::string_view name) {
                                  std::string(name));
 }
 
-void CubeComputeStats::Absorb(const CubeComputeStats& other) {
-  base_scans += other.base_scans;
-  passes += other.passes;
-  sorts += other.sorts;
-  records_sorted += other.records_sorted;
-  spilled_runs += other.spilled_runs;
-  spill_bytes += other.spill_bytes;
-  partitions += other.partitions;
-  partition_rows += other.partition_rows;
-  rollups += other.rollups;
-  peak_memory = std::max(peak_memory, other.peak_memory);
-}
-
 Result<CubeResult> ComputeCube(CubeAlgorithm algo, const FactTable& facts,
                                const CubeLattice& lattice,
-                               const CubeComputeOptions& options,
-                               CubeComputeStats* stats) {
+                               const CubeComputeOptions& options) {
   if (!facts.finished()) {
     return Status::InvalidArgument("fact table not finished");
   }
@@ -95,10 +80,6 @@ Result<CubeResult> ComputeCube(CubeAlgorithm algo, const FactTable& facts,
         "fact table has %zu axes but lattice has %zu", facts.num_axes(),
         lattice.num_axes()));
   }
-  CubeComputeStats local;
-  CubeComputeStats* st = stats != nullptr ? stats : &local;
-  *st = CubeComputeStats{};
-
   ExecutionContext local_ctx;
   ExecutionContext* ctx =
       options.exec != nullptr ? options.exec : &local_ctx;
@@ -121,16 +102,28 @@ Result<CubeResult> ComputeCube(CubeAlgorithm algo, const FactTable& facts,
     plan = BuildCubePlan(algo, lattice, *props);
   }
 
-  // Execute through the registry — no per-algorithm switch here.
-  const CuboidExecutor* executor = GlobalCuboidExecutorRegistry().Find(algo);
-  if (executor == nullptr) {
-    return Status::Internal(std::string("no executor registered for ") +
-                            CubeAlgorithmToString(algo));
-  }
   Result<CubeResult> result = [&]() -> Result<CubeResult> {
     ScopedStageTimer timer(ctx->stats(), "compute", ctx->tracer());
     X3_RETURN_IF_ERROR(ctx->CheckInterrupted());
-    return executor->Execute(plan, facts, lattice, effective, ctx, st);
+    switch (algo) {
+      case CubeAlgorithm::kReference:
+        return internal::ExecuteReference(plan, facts, lattice, effective,
+                                          ctx);
+      case CubeAlgorithm::kCounter:
+        return internal::ExecuteCounter(plan, facts, lattice, effective, ctx);
+      case CubeAlgorithm::kBUC:
+      case CubeAlgorithm::kBUCOpt:
+      case CubeAlgorithm::kBUCCust:
+        return internal::ExecuteBottomUp(plan, facts, lattice, effective,
+                                         ctx);
+      case CubeAlgorithm::kTD:
+      case CubeAlgorithm::kTDOpt:
+      case CubeAlgorithm::kTDOptAll:
+      case CubeAlgorithm::kTDCust:
+        return internal::ExecuteTopDown(plan, facts, lattice, effective, ctx);
+    }
+    return Status::Internal(StringPrintf("unknown cube algorithm %d",
+                                         static_cast<int>(algo)));
   }();
   if (result.ok() && options.min_count > 1) {
     // The bottom-up family prunes natively; this central filter makes
@@ -147,8 +140,7 @@ Result<CubeResult> ComputeCube(CubeAlgorithm algo, const FactTable& facts,
 Result<std::string> ExplainAnalyzeCube(CubeAlgorithm algo,
                                        const FactTable& facts,
                                        const CubeLattice& lattice,
-                                       const CubeComputeOptions& options,
-                                       CubeComputeStats* stats) {
+                                       const CubeComputeOptions& options) {
   // A private context gives the run its own stats sink, so the rendered
   // actuals cover exactly this execution; the rest of the caller's
   // context (budget, temp files, cancellation, deadline, tracer) applies.
@@ -156,10 +148,8 @@ Result<std::string> ExplainAnalyzeCube(CubeAlgorithm algo,
                                                : ExecutionContext::Options{});
   CubeComputeOptions effective = options;
   effective.exec = &ctx;
-  CubeComputeStats local;
-  CubeComputeStats* st = stats != nullptr ? stats : &local;
   X3_ASSIGN_OR_RETURN(CubeResult result,
-                      ComputeCube(algo, facts, lattice, effective, st));
+                      ComputeCube(algo, facts, lattice, effective));
   // Re-derive the plan the execution followed (same property-map
   // defaulting as ComputeCube; planning is pure, so the steps match).
   std::optional<LatticeProperties> assume_nothing;

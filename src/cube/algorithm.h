@@ -45,6 +45,16 @@ enum class CubeAlgorithm : uint8_t {
   kTDCust,
 };
 
+/// Every variant, in enum order (tests sweep this instead of
+/// hard-coding the nine).
+inline constexpr CubeAlgorithm kAllCubeAlgorithms[] = {
+    CubeAlgorithm::kReference, CubeAlgorithm::kCounter,
+    CubeAlgorithm::kBUC,       CubeAlgorithm::kBUCOpt,
+    CubeAlgorithm::kBUCCust,   CubeAlgorithm::kTD,
+    CubeAlgorithm::kTDOpt,     CubeAlgorithm::kTDOptAll,
+    CubeAlgorithm::kTDCust,
+};
+
 const char* CubeAlgorithmToString(CubeAlgorithm algo);
 Result<CubeAlgorithm> ParseCubeAlgorithm(std::string_view name);
 
@@ -63,8 +73,9 @@ struct CubeComputeOptions {
   int64_t min_count = 0;
   /// The one way the memory budget (counter tables, sort buffers,
   /// partition copies), the temp files sorts spill to, cancellation,
-  /// the deadline and the stage stats sink reach the engine. nullptr =
-  /// an unlimited, uncancellable context of ComputeCube's own.
+  /// the deadline and the stage stats sink reach the engine, and where
+  /// its cost counts land. nullptr = an unlimited, uncancellable
+  /// context of ComputeCube's own.
   ExecutionContext* exec = nullptr;
   /// Worker threads for plan execution. 1 (the default) runs every step
   /// on the calling thread — exactly the pre-parallel behavior. 0 means
@@ -80,45 +91,14 @@ struct CubeComputeOptions {
   bool compress_spill = false;
 };
 
-/// Cost counters exposed by every algorithm (machine-independent
-/// complements to wall-clock time).
-struct CubeComputeStats {
-  /// Scans over the fact table.
-  uint64_t base_scans = 0;
-  /// COUNTER: passes over the input (>1 means it did not fit).
-  uint64_t passes = 0;
-  /// Number of sorts started (TD family).
-  uint64_t sorts = 0;
-  /// Records fed into sorts.
-  uint64_t records_sorted = 0;
-  /// Spilled runs and bytes (external sorts).
-  uint64_t spilled_runs = 0;
-  uint64_t spill_bytes = 0;
-  /// BUC: partitions materialized.
-  uint64_t partitions = 0;
-  /// BUC: total rows placed into partitions (>= facts when overlapping).
-  uint64_t partition_rows = 0;
-  /// TDOPTALL/TDCUST: cuboids computed by roll-up or copy instead of
-  /// from base.
-  uint64_t rollups = 0;
-  /// Peak tracked memory (bytes) if a budget was supplied.
-  uint64_t peak_memory = 0;
-
-  /// Merges the counters of `other` into this (sum everywhere, max for
-  /// peak_memory). The parallel executor gives each task its own stats
-  /// and absorbs them at the join point in task order, so the merged
-  /// totals are deterministic.
-  void Absorb(const CubeComputeStats& other);
-};
-
 /// Computes the full cube of `facts` over `lattice` with `algo`.
 ///
 /// Plan-then-execute: builds the CubePlan for `algo` (see cube/plan.h),
-/// then dispatches to the executor registered for the algorithm (see
-/// cube/executor.h) — no per-algorithm switch on the execution path.
-/// When `options.exec` carries a cancellation token or deadline, a
-/// cancelled / expired run returns kCancelled / kDeadlineExceeded with
-/// all budget charges released.
+/// then runs it with the algorithm's family executor (see
+/// cube/executor.h). When `options.exec` carries a cancellation token or
+/// deadline, a cancelled / expired run returns kCancelled /
+/// kDeadlineExceeded with all budget charges released. The run's cost
+/// counts land in that context's costs().
 ///
 /// Correctness contract: kReference, kCounter, kBUC, kBUCCust, kTD and
 /// kTDCust always produce the exact cube. kBUCOpt/kTDOpt additionally
@@ -128,20 +108,18 @@ struct CubeComputeStats {
 /// in Fig. 9 — so do our benchmarks).
 Result<CubeResult> ComputeCube(CubeAlgorithm algo, const FactTable& facts,
                                const CubeLattice& lattice,
-                               const CubeComputeOptions& options,
-                               CubeComputeStats* stats = nullptr);
+                               const CubeComputeOptions& options);
 
 /// EXPLAIN ANALYZE: runs `algo` end to end (same cost as ComputeCube)
 /// and renders its plan with every pipe and step annotated with the
 /// actual wall-clock time, output rows and spill I/O of this execution.
-/// The run gets a private stats sink so the actuals cover exactly this
+/// The run gets a private context so the actuals cover exactly this
 /// computation; the caller's budget, temp files, cancellation, deadline
 /// and tracer (from `options.exec`) still apply.
 Result<std::string> ExplainAnalyzeCube(CubeAlgorithm algo,
                                        const FactTable& facts,
                                        const CubeLattice& lattice,
-                                       const CubeComputeOptions& options,
-                                       CubeComputeStats* stats = nullptr);
+                                       const CubeComputeOptions& options);
 
 }  // namespace x3
 

@@ -27,14 +27,12 @@ class BucComputation {
  public:
   BucComputation(CubeAlgorithm variant, const FactTable& facts,
                  const CubeLattice& lattice,
-                 const CubeComputeOptions& options, ExecutionContext* ctx,
-                 CubeComputeStats* stats)
+                 const CubeComputeOptions& options, ExecutionContext* ctx)
       : variant_(variant),
         facts_(facts),
         lattice_(lattice),
         options_(options),
         ctx_(ctx),
-        stats_(stats),
         result_(lattice.num_cuboids(), options.aggregate),
         states_(lattice.num_axes(), 0) {}
 
@@ -44,8 +42,13 @@ class BucComputation {
     for (size_t f = 0; f < facts_.size(); ++f) {
       rows.Add(static_cast<uint32_t>(f));
     }
-    ++stats_->base_scans;
-    X3_RETURN_IF_ERROR(Recurse(0, rows));
+    ctx_->costs().base_scans.Add();
+    Status status = Recurse(0, rows);
+    // The partition loop counts into members; the context gets the
+    // totals once, on every exit.
+    ctx_->costs().partitions.Add(partitions_);
+    ctx_->costs().partition_rows.Add(partition_rows_);
+    X3_RETURN_IF_ERROR(status);
     timer.AddRows(result_.TotalCells());
     return std::move(result_);
   }
@@ -125,13 +128,9 @@ class BucComputation {
       });
       std::sort(pairs.begin(), pairs.end());
       size_t charged = pairs.size() * sizeof(pairs[0]);
-      stats_->partition_rows += pairs.size();
+      partition_rows_ += pairs.size();
       MemoryBudget* budget = ctx_->budget();
-      if (budget != nullptr) {
-        budget->ForceReserve(charged);
-        stats_->peak_memory =
-            std::max<uint64_t>(stats_->peak_memory, budget->peak());
-      }
+      if (budget != nullptr) budget->ForceReserve(charged);
       // The charge must be released on every exit, including an error
       // (cancellation) surfacing from a deeper level — collect the
       // status and fall through to the Release.
@@ -146,7 +145,7 @@ class BucComputation {
           partition.Add(pairs[i].second);
           ++i;
         }
-        ++stats_->partitions;
+        ++partitions_;
         values_.push_back(v);
         status = Recurse(axis + 1, partition);
         values_.pop_back();
@@ -171,11 +170,14 @@ class BucComputation {
   const CubeLattice& lattice_;
   const CubeComputeOptions& options_;
   ExecutionContext* ctx_;
-  CubeComputeStats* stats_;
   CubeResult result_;
   std::vector<AxisStateId> states_;
   std::vector<ValueId> values_;
+  uint64_t partitions_ = 0;
+  uint64_t partition_rows_ = 0;
 };
+
+}  // namespace
 
 /// Bottom-up family: the plan's kPartitionRecurse steps are emitted by
 /// one recursive walk; the variant (from the plan) decides where the
@@ -190,29 +192,17 @@ class BucComputation {
 /// per-cell synchronization or a merge phase that forfeits BUC's
 /// iceberg pruning. The differential tests still sweep this family at
 /// every parallelism (the knob is simply a no-op here).
-class BottomUpExecutor final : public CuboidExecutor {
- public:
-  const char* name() const override { return "bottom-up"; }
-
-  Result<CubeResult> Execute(const CubePlan& plan, const FactTable& facts,
-                             const CubeLattice& lattice,
-                             const CubeComputeOptions& options,
-                             ExecutionContext* ctx,
-                             CubeComputeStats* stats) const override {
-    if (plan.algorithm == CubeAlgorithm::kBUCCust &&
-        options.properties == nullptr) {
-      X3_LOG(Info) << "BUCCUST without a property map runs as plain BUC";
-    }
-    BucComputation computation(plan.algorithm, facts, lattice, options, ctx,
-                               stats);
-    return computation.Run();
+Result<CubeResult> ExecuteBottomUp(const CubePlan& plan,
+                                   const FactTable& facts,
+                                   const CubeLattice& lattice,
+                                   const CubeComputeOptions& options,
+                                   ExecutionContext* ctx) {
+  if (plan.algorithm == CubeAlgorithm::kBUCCust &&
+      options.properties == nullptr) {
+    X3_LOG(Info) << "BUCCUST without a property map runs as plain BUC";
   }
-};
-
-}  // namespace
-
-std::unique_ptr<CuboidExecutor> MakeBottomUpExecutor() {
-  return std::make_unique<BottomUpExecutor>();
+  BucComputation computation(plan.algorithm, facts, lattice, options, ctx);
+  return computation.Run();
 }
 
 }  // namespace internal

@@ -17,18 +17,19 @@ constexpr size_t kCellOverhead = 64;
 /// false when `budget` (nullptr = unlimited) was exhausted mid-pass (the
 /// partial counters are discarded and the caller splits the batch). Any
 /// budget reserved during the pass is released on every path, including
-/// a cancellation or deadline unwind.
+/// a cancellation or deadline unwind. `passes` numbers the passes of
+/// one top-level batch, so the "pass/<n>" stage labels are per batch.
 Result<bool> CounterPass(const FactTable& facts, const CubeLattice& lattice,
                          const std::vector<CuboidId>& batch,
                          MemoryBudget* budget, ExecutionContext* ctx,
-                         CubeResult* result, CubeComputeStats* stats) {
+                         CubeResult* result, uint64_t* passes) {
   ScopedStageTimer timer(
       ctx->stats(),
-      StringPrintf("pass/%llu", static_cast<unsigned long long>(
-                                    stats->passes)),
+      StringPrintf("pass/%llu", static_cast<unsigned long long>(*passes)),
       ctx->tracer());
-  ++stats->passes;
-  ++stats->base_scans;
+  ++*passes;
+  ctx->costs().passes.Add();
+  ctx->costs().base_scans.Add();
   size_t reserved = 0;
   std::vector<std::unordered_map<GroupKey, AggregateState>> counters(
       batch.size());
@@ -75,11 +76,7 @@ Result<bool> CounterPass(const FactTable& facts, const CubeLattice& lattice,
       });
     }
   }
-  if (budget != nullptr) {
-    stats->peak_memory = std::max<uint64_t>(stats->peak_memory,
-                                            budget->peak());
-    budget->Release(reserved);
-  }
+  if (budget != nullptr) budget->Release(reserved);
   X3_RETURN_IF_ERROR(interrupted);
   if (overflow) return false;
   // Merge into the result ("write the counters out").
@@ -98,10 +95,11 @@ Result<bool> CounterPass(const FactTable& facts, const CubeLattice& lattice,
 /// passes, at 7 axes we needed 5 passes", §4.6).
 Status CounterBatch(const FactTable& facts, const CubeLattice& lattice,
                     const std::vector<CuboidId>& batch, ExecutionContext* ctx,
-                    CubeResult* result, CubeComputeStats* stats) {
+                    CubeResult* result, uint64_t* passes) {
   if (batch.empty()) return Status::OK();
   X3_ASSIGN_OR_RETURN(bool ok, CounterPass(facts, lattice, batch,
-                                           ctx->budget(), ctx, result, stats));
+                                           ctx->budget(), ctx, result,
+                                           passes));
   if (ok) return Status::OK();
   if (batch.size() == 1) {
     // A single cuboid that alone exceeds the budget: there is nothing
@@ -111,73 +109,64 @@ Status CounterBatch(const FactTable& facts, const CubeLattice& lattice,
                     << " alone exceeds the memory budget; forcing";
     X3_ASSIGN_OR_RETURN(bool forced_ok,
                         CounterPass(facts, lattice, batch, /*budget=*/nullptr,
-                                    ctx, result, stats));
+                                    ctx, result, passes));
     X3_CHECK(forced_ok);
     return Status::OK();
   }
   size_t mid = batch.size() / 2;
   std::vector<CuboidId> left(batch.begin(), batch.begin() + mid);
   std::vector<CuboidId> right(batch.begin() + mid, batch.end());
-  X3_RETURN_IF_ERROR(CounterBatch(facts, lattice, left, ctx, result, stats));
-  return CounterBatch(facts, lattice, right, ctx, result, stats);
+  X3_RETURN_IF_ERROR(CounterBatch(facts, lattice, left, ctx, result, passes));
+  return CounterBatch(facts, lattice, right, ctx, result, passes);
 }
+
+}  // namespace
 
 /// Counter-based family (§3.3): all cuboids off one shared scan, split
 /// into multiple passes when the counters exceed the budget. The plan's
 /// kHashAggregate steps are the batch list.
-class CounterExecutor final : public CuboidExecutor {
- public:
-  const char* name() const override { return "counter"; }
-
-  Result<CubeResult> Execute(const CubePlan& plan, const FactTable& facts,
-                             const CubeLattice& lattice,
-                             const CubeComputeOptions& options,
-                             ExecutionContext* ctx,
-                             CubeComputeStats* stats) const override {
-    CubeResult result(lattice.num_cuboids(), options.aggregate);
-    std::vector<CuboidId> all;
-    all.reserve(plan.steps.size());
-    for (const CuboidPlanStep& step : plan.steps) {
-      all.push_back(step.cuboid);
-    }
-    if (options.parallelism <= 1 || all.size() <= 1) {
-      X3_RETURN_IF_ERROR(
-          CounterBatch(facts, lattice, all, ctx, &result, stats));
-      return result;
-    }
-    // Parallel: round-robin the cuboids into one batch per worker, each
-    // an independent task. Batches write disjoint cuboid maps of the
-    // shared result, and the shared atomic budget still caps the sum of
-    // all counters — a batch that overflows splits itself exactly as in
-    // the sequential multi-pass case, so cell contents stay exact (the
-    // pass *structure* may differ from the single-thread run; the
-    // differential tests compare cells, which are identical).
-    const size_t num_batches = std::min(options.parallelism, all.size());
-    std::vector<std::vector<CuboidId>> batches(num_batches);
-    for (size_t i = 0; i < all.size(); ++i) {
-      batches[i % num_batches].push_back(all[i]);
-    }
-    std::vector<PlanTask> tasks;
-    tasks.reserve(num_batches);
-    for (std::vector<CuboidId>& batch : batches) {
-      tasks.push_back(PlanTask{
-          [&, batch = std::move(batch)](CubeComputeStats* task_stats) {
-            return CounterBatch(facts, lattice, batch, ctx, &result,
-                                task_stats);
-          },
-          {}});
-    }
+Result<CubeResult> ExecuteCounter(const CubePlan& plan,
+                                  const FactTable& facts,
+                                  const CubeLattice& lattice,
+                                  const CubeComputeOptions& options,
+                                  ExecutionContext* ctx) {
+  CubeResult result(lattice.num_cuboids(), options.aggregate);
+  std::vector<CuboidId> all;
+  all.reserve(plan.steps.size());
+  for (const CuboidPlanStep& step : plan.steps) {
+    all.push_back(step.cuboid);
+  }
+  if (options.parallelism <= 1 || all.size() <= 1) {
+    uint64_t passes = 0;
     X3_RETURN_IF_ERROR(
-        RunPlanTasks(std::move(tasks), options.parallelism, stats,
-                     ctx->query_id()));
+        CounterBatch(facts, lattice, all, ctx, &result, &passes));
     return result;
   }
-};
-
-}  // namespace
-
-std::unique_ptr<CuboidExecutor> MakeCounterExecutor() {
-  return std::make_unique<CounterExecutor>();
+  // Parallel: round-robin the cuboids into one batch per worker, each
+  // an independent task. Batches write disjoint cuboid maps of the
+  // shared result, and the shared atomic budget still caps the sum of
+  // all counters — a batch that overflows splits itself exactly as in
+  // the sequential multi-pass case, so cell contents stay exact (the
+  // pass *structure* may differ from the single-thread run; the
+  // differential tests compare cells, which are identical).
+  const size_t num_batches = std::min(options.parallelism, all.size());
+  std::vector<std::vector<CuboidId>> batches(num_batches);
+  for (size_t i = 0; i < all.size(); ++i) {
+    batches[i % num_batches].push_back(all[i]);
+  }
+  std::vector<PlanTask> tasks;
+  tasks.reserve(num_batches);
+  for (std::vector<CuboidId>& batch : batches) {
+    tasks.push_back(PlanTask{
+        [&, batch = std::move(batch)]() {
+          uint64_t passes = 0;
+          return CounterBatch(facts, lattice, batch, ctx, &result, &passes);
+        },
+        {}});
+  }
+  X3_RETURN_IF_ERROR(
+      RunPlanTasks(std::move(tasks), options.parallelism, ctx->query_id()));
+  return result;
 }
 
 }  // namespace internal

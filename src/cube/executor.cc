@@ -23,15 +23,14 @@ Counter& PlanTasksCounter() {
 }  // namespace
 
 Status RunPlanTasks(std::vector<PlanTask> tasks, size_t parallelism,
-                    CubeComputeStats* stats, uint64_t query_id) {
-  X3_CHECK(stats != nullptr);
+                    uint64_t query_id) {
   const size_t n = tasks.size();
   if (parallelism <= 1 || n <= 1) {
-    // The sequential path: index order, shared stats, stop at the first
-    // error. This is exactly the pre-parallel execution.
+    // The sequential path: index order, stop at the first error. This
+    // is exactly the pre-parallel execution.
     for (PlanTask& task : tasks) {
       PlanTasksCounter().Increment();
-      X3_RETURN_IF_ERROR(task.run(stats));
+      X3_RETURN_IF_ERROR(task.run());
     }
     return Status::OK();
   }
@@ -48,9 +47,6 @@ Status RunPlanTasks(std::vector<PlanTask> tasks, size_t parallelism,
     blockers[i] = tasks[i].deps.size();
   }
 
-  // Each task gets its own stats so workers never share a counter; the
-  // per-task stats are absorbed in index order at the join point.
-  std::vector<CubeComputeStats> task_stats(n);
   std::vector<Status> statuses(n, Status::OK());
 
   ThreadPool pool(std::min(parallelism, n));
@@ -77,7 +73,7 @@ Status RunPlanTasks(std::vector<PlanTask> tasks, size_t parallelism,
       // scope re-attributes this one's spans/logs to its query.
       ScopedQueryId qid_scope(query_id);
       PlanTasksCounter().Increment();
-      Status s = tasks[i].run(&task_stats[i]);
+      Status s = tasks[i].run();
       MutexLock lock(&mu);
       statuses[i] = std::move(s);
       ++completed;
@@ -102,70 +98,13 @@ Status RunPlanTasks(std::vector<PlanTask> tasks, size_t parallelism,
     });
   }
 
-  // Deterministic merge and error selection: task-index order, never
-  // completion order, so parallel runs report the same stats and the
-  // same first error as each other (unrun tasks contribute zero stats
-  // and an OK status).
-  for (size_t i = 0; i < n; ++i) {
-    stats->Absorb(task_stats[i]);
-  }
+  // Deterministic error selection: task-index order, never completion
+  // order, so parallel runs report the same first error as each other
+  // (unrun tasks have an OK status).
   for (size_t i = 0; i < n; ++i) {
     if (!statuses[i].ok()) return statuses[i];
   }
   return Status::OK();
-}
-
-Status CuboidExecutorRegistry::Register(
-    CubeAlgorithm algo, std::unique_ptr<CuboidExecutor> executor) {
-  if (executor == nullptr) {
-    return Status::InvalidArgument("null executor");
-  }
-  auto [it, inserted] = executors_.emplace(algo, std::move(executor));
-  (void)it;
-  if (!inserted) {
-    return Status::AlreadyExists(
-        std::string("executor already registered for ") +
-        CubeAlgorithmToString(algo));
-  }
-  return Status::OK();
-}
-
-const CuboidExecutor* CuboidExecutorRegistry::Find(CubeAlgorithm algo) const {
-  auto it = executors_.find(algo);
-  return it == executors_.end() ? nullptr : it->second.get();
-}
-
-std::vector<CubeAlgorithm> CuboidExecutorRegistry::Algorithms() const {
-  std::vector<CubeAlgorithm> out;
-  out.reserve(executors_.size());
-  for (const auto& [algo, executor] : executors_) {
-    (void)executor;
-    out.push_back(algo);
-  }
-  return out;
-}
-
-CuboidExecutorRegistry& GlobalCuboidExecutorRegistry() {
-  static CuboidExecutorRegistry registry;
-  static bool seeded = [] {
-    auto add = [](CubeAlgorithm algo,
-                  std::unique_ptr<CuboidExecutor> executor) {
-      Status s = registry.Register(algo, std::move(executor));
-      X3_CHECK(s.ok()) << s;
-    };
-    add(CubeAlgorithm::kReference, internal::MakeReferenceExecutor());
-    add(CubeAlgorithm::kCounter, internal::MakeCounterExecutor());
-    add(CubeAlgorithm::kBUC, internal::MakeBottomUpExecutor());
-    add(CubeAlgorithm::kBUCOpt, internal::MakeBottomUpExecutor());
-    add(CubeAlgorithm::kBUCCust, internal::MakeBottomUpExecutor());
-    add(CubeAlgorithm::kTD, internal::MakeTopDownExecutor());
-    add(CubeAlgorithm::kTDOpt, internal::MakeTopDownExecutor());
-    add(CubeAlgorithm::kTDOptAll, internal::MakeTopDownExecutor());
-    add(CubeAlgorithm::kTDCust, internal::MakeTopDownExecutor());
-    return true;
-  }();
-  (void)seeded;
-  return registry;
 }
 
 }  // namespace x3

@@ -38,11 +38,20 @@ ExternalSorter::Options SorterOptions(const CubeComputeOptions& options,
   return sort_options;
 }
 
-void AbsorbSortStats(const SortStats& sort_stats, CubeComputeStats* stats) {
-  ++stats->sorts;
-  stats->records_sorted += sort_stats.records;
-  stats->spilled_runs += sort_stats.runs_spilled;
-  stats->spill_bytes += sort_stats.spill_bytes;
+/// Finishes `sorter` and counts the sort into ctx->costs(); its spill
+/// bytes are also `stage`'s I/O detail for EXPLAIN ANALYZE.
+Result<std::unique_ptr<SortedStream>> FinishSort(ExternalSorter* sorter,
+                                                 ExecutionContext* ctx,
+                                                 ScopedStageTimer* stage) {
+  X3_ASSIGN_OR_RETURN(std::unique_ptr<SortedStream> stream, sorter->Finish());
+  const SortStats& sort = sorter->stats();
+  ExecutionCosts& costs = ctx->costs();
+  costs.sorts.Add();
+  costs.records_sorted.Add(sort.records);
+  costs.spilled_runs.Add(sort.runs_spilled);
+  costs.spill_bytes.Add(sort.spill_bytes);
+  stage->AddBytes(sort.spill_bytes);
+  return stream;
 }
 
 /// Computes one cuboid from the base fact table by sorting its group
@@ -54,7 +63,7 @@ void AbsorbSortStats(const SortStats& sort_stats, CubeComputeStats* stats) {
 Status CuboidFromBase(const FactTable& facts, const CubeLattice& lattice,
                       CuboidId cuboid, bool with_ids,
                       const CubeComputeOptions& options, ExecutionContext* ctx,
-                      CubeResult* result, CubeComputeStats* stats) {
+                      CubeResult* result) {
   ScopedStageTimer stage(
       ctx->stats(),
       StringPrintf("cuboid/%llu", static_cast<unsigned long long>(cuboid)),
@@ -62,7 +71,7 @@ Status CuboidFromBase(const FactTable& facts, const CubeLattice& lattice,
   GroupWalk walk(lattice, cuboid, UncoveredAxis::kDropFact);
   const size_t key_len = walk.key_size();
   ExternalSorter sorter(SorterOptions(options, ctx));
-  ++stats->base_scans;
+  ctx->costs().base_scans.Add();
 
   std::string record;
   for (size_t f = 0; f < facts.size(); ++f) {
@@ -79,13 +88,8 @@ Status CuboidFromBase(const FactTable& facts, const CubeLattice& lattice,
     X3_RETURN_IF_ERROR(add_status);
   }
 
-  X3_ASSIGN_OR_RETURN(std::unique_ptr<SortedStream> stream, sorter.Finish());
-  AbsorbSortStats(sorter.stats(), stats);
-  stage.AddBytes(sorter.stats().spill_bytes);
-  if (ctx->budget() != nullptr) {
-    stats->peak_memory =
-        std::max<uint64_t>(stats->peak_memory, ctx->budget()->peak());
-  }
+  X3_ASSIGN_OR_RETURN(std::unique_ptr<SortedStream> stream,
+                      FinishSort(&sorter, ctx, &stage));
 
   std::string current_group;
   std::string last_dedup_key;
@@ -127,12 +131,11 @@ Status CuboidFromBase(const FactTable& facts, const CubeLattice& lattice,
 /// first admitted value is THE value).
 Status RunPipe(const FactTable& facts, const CubePlanPipe& pipe,
                size_t pipe_index, const CubeComputeOptions& options,
-               ExecutionContext* ctx, CubeResult* result,
-               CubeComputeStats* stats) {
+               ExecutionContext* ctx, CubeResult* result) {
   ScopedStageTimer stage(ctx->stats(), StringPrintf("pipe/%zu", pipe_index),
                          ctx->tracer());
   ExternalSorter sorter(SorterOptions(options, ctx));
-  ++stats->base_scans;
+  ctx->costs().base_scans.Add();
   // Columnar scan state: one (mask column, value column, offsets, state)
   // tuple per sort-order entry, so the record-building loop below walks
   // the axis columns directly instead of calling back into the table.
@@ -167,13 +170,8 @@ Status RunPipe(const FactTable& facts, const CubePlanPipe& pipe,
     AppendMeasure(&record, facts.measure(f));
     X3_RETURN_IF_ERROR(sorter.Add(record));
   }
-  X3_ASSIGN_OR_RETURN(std::unique_ptr<SortedStream> stream, sorter.Finish());
-  AbsorbSortStats(sorter.stats(), stats);
-  stage.AddBytes(sorter.stats().spill_bytes);
-  if (ctx->budget() != nullptr) {
-    stats->peak_memory =
-        std::max<uint64_t>(stats->peak_memory, ctx->budget()->peak());
-  }
+  X3_ASSIGN_OR_RETURN(std::unique_ptr<SortedStream> stream,
+                      FinishSort(&sorter, ctx, &stage));
 
   struct PrefixAgg {
     size_t k;
@@ -247,12 +245,12 @@ Status RunPipe(const FactTable& facts, const CubePlanPipe& pipe,
 /// preconditions the planner established).
 Status RollUp(const CubeLattice& lattice, CuboidId p, CuboidId c,
               const LatticeEdge& edge, ExecutionContext* ctx,
-              CubeResult* result, CubeComputeStats* stats) {
+              CubeResult* result) {
   ScopedStageTimer stage(
       ctx->stats(),
       StringPrintf("cuboid/%llu", static_cast<unsigned long long>(c)),
       ctx->tracer());
-  ++stats->rollups;
+  ctx->costs().rollups.Add();
   const auto& parent_cells = result->cuboid(p);
   if (!edge.to_absent) {
     // Structural relaxation: identical groups.
@@ -284,85 +282,74 @@ Status RollUp(const CubeLattice& lattice, CuboidId p, CuboidId c,
   return Status::OK();
 }
 
+}  // namespace
+
 /// Top-down family: pure plan interpreter. The four TD variants differ
 /// only in the plans they produce (cube/plan.cc); execution is the same
 /// loop over pipes and steps for all of them.
-class TopDownExecutor final : public CuboidExecutor {
- public:
-  const char* name() const override { return "top-down"; }
-
-  Result<CubeResult> Execute(const CubePlan& plan, const FactTable& facts,
-                             const CubeLattice& lattice,
-                             const CubeComputeOptions& options,
-                             ExecutionContext* ctx,
-                             CubeComputeStats* stats) const override {
-    CubeResult result(lattice.num_cuboids(), options.aggregate);
-    // Task layout per PlanStepDependencies: pipes first, then steps.
-    // Pipes and base sorts are independent; a roll-up / copy step waits
-    // on whichever task produces its source cuboid; a kSharedSort step
-    // is a marker waiting on its pipe (the pipe writes its cells). At
-    // parallelism 1 RunPlanTasks walks this list in index order, which
-    // is byte-for-byte the old pipes-then-steps loop.
-    const std::vector<std::vector<size_t>> deps = PlanStepDependencies(plan);
-    std::vector<PlanTask> tasks;
-    tasks.reserve(deps.size());
-    for (size_t p = 0; p < plan.pipes.size(); ++p) {
-      tasks.push_back(PlanTask{
-          [&, p](CubeComputeStats* task_stats) {
-            return RunPipe(facts, plan.pipes[p], p, options, ctx, &result,
-                           task_stats);
-          },
-          deps[p]});
-    }
-    for (size_t i = 0; i < plan.steps.size(); ++i) {
-      const CuboidPlanStep& step = plan.steps[i];
-      PlanTask task;
-      task.deps = deps[plan.pipes.size() + i];
-      switch (step.kind) {
-        case CuboidPlanStep::Kind::kBaseWithIds:
-        case CuboidPlanStep::Kind::kBaseNoIds:
-          task.run = [&, step](CubeComputeStats* task_stats) {
-            return CuboidFromBase(
-                facts, lattice, step.cuboid,
-                step.kind == CuboidPlanStep::Kind::kBaseWithIds, options, ctx,
-                &result, task_stats);
-          };
-          break;
-        case CuboidPlanStep::Kind::kRollup:
-        case CuboidPlanStep::Kind::kCopy:
-          task.run = [&, step](CubeComputeStats* task_stats) -> Status {
-            std::optional<LatticeEdge> edge =
-                EdgeBetween(lattice, step.source, step.cuboid);
-            X3_CHECK(edge.has_value());
-            return RollUp(lattice, step.source, step.cuboid, *edge, ctx,
-                          &result, task_stats);
-          };
-          break;
-        case CuboidPlanStep::Kind::kSharedSort:
-          // Cells come from the pipe this task depends on; the task
-          // itself is a scheduling marker so transitive readers (none
-          // today, but the DAG allows them) wait correctly.
-          task.run = [](CubeComputeStats*) { return Status::OK(); };
-          break;
-        default:
-          return Status::Internal(
-              StringPrintf("step kind %s not executable by the top-down "
-                           "family",
-                           CuboidPlanStepKindToString(step.kind)));
-      }
-      tasks.push_back(std::move(task));
-    }
-    X3_RETURN_IF_ERROR(
-        RunPlanTasks(std::move(tasks), options.parallelism, stats,
-                     ctx->query_id()));
-    return result;
+Result<CubeResult> ExecuteTopDown(const CubePlan& plan,
+                                  const FactTable& facts,
+                                  const CubeLattice& lattice,
+                                  const CubeComputeOptions& options,
+                                  ExecutionContext* ctx) {
+  CubeResult result(lattice.num_cuboids(), options.aggregate);
+  // Task layout per PlanStepDependencies: pipes first, then steps.
+  // Pipes and base sorts are independent; a roll-up / copy step waits
+  // on whichever task produces its source cuboid; a kSharedSort step is
+  // a marker waiting on its pipe (the pipe writes its cells). At
+  // parallelism 1 RunPlanTasks walks this list in index order, which is
+  // byte-for-byte the old pipes-then-steps loop.
+  const std::vector<std::vector<size_t>> deps = PlanStepDependencies(plan);
+  std::vector<PlanTask> tasks;
+  tasks.reserve(deps.size());
+  for (size_t p = 0; p < plan.pipes.size(); ++p) {
+    tasks.push_back(PlanTask{
+        [&, p]() {
+          return RunPipe(facts, plan.pipes[p], p, options, ctx, &result);
+        },
+        deps[p]});
   }
-};
-
-}  // namespace
-
-std::unique_ptr<CuboidExecutor> MakeTopDownExecutor() {
-  return std::make_unique<TopDownExecutor>();
+  for (size_t i = 0; i < plan.steps.size(); ++i) {
+    const CuboidPlanStep& step = plan.steps[i];
+    PlanTask task;
+    task.deps = deps[plan.pipes.size() + i];
+    switch (step.kind) {
+      case CuboidPlanStep::Kind::kBaseWithIds:
+      case CuboidPlanStep::Kind::kBaseNoIds:
+        task.run = [&, step]() {
+          return CuboidFromBase(
+              facts, lattice, step.cuboid,
+              step.kind == CuboidPlanStep::Kind::kBaseWithIds, options, ctx,
+              &result);
+        };
+        break;
+      case CuboidPlanStep::Kind::kRollup:
+      case CuboidPlanStep::Kind::kCopy:
+        task.run = [&, step]() -> Status {
+          std::optional<LatticeEdge> edge =
+              EdgeBetween(lattice, step.source, step.cuboid);
+          X3_CHECK(edge.has_value());
+          return RollUp(lattice, step.source, step.cuboid, *edge, ctx,
+                        &result);
+        };
+        break;
+      case CuboidPlanStep::Kind::kSharedSort:
+        // Cells come from the pipe this task depends on; the task itself
+        // is a scheduling marker so transitive readers (none today, but
+        // the DAG allows them) wait correctly.
+        task.run = [] { return Status::OK(); };
+        break;
+      default:
+        return Status::Internal(
+            StringPrintf("step kind %s not executable by the top-down "
+                         "family",
+                         CuboidPlanStepKindToString(step.kind)));
+    }
+    tasks.push_back(std::move(task));
+  }
+  X3_RETURN_IF_ERROR(
+      RunPlanTasks(std::move(tasks), options.parallelism, ctx->query_id()));
+  return result;
 }
 
 }  // namespace internal

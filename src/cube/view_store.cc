@@ -48,8 +48,7 @@ Status CubeViewStore::FoldFacts(CuboidId cuboid, View* view,
 Status CubeViewStore::Materialize(
     const std::vector<CuboidId>& cuboids, bool with_fact_ids,
     ExecutionContext* ctx,
-    std::unordered_map<GroupKey, AggregateState>* answer,
-    ViewComputeStats* stats) {
+    std::unordered_map<GroupKey, AggregateState>* answer) {
   std::vector<View> built(cuboids.size());
   for (size_t v = 0; v < cuboids.size(); ++v) {
     View& view = built[v];
@@ -57,9 +56,9 @@ Status CubeViewStore::Materialize(
     view.present = lattice_->PresentAxes(cuboids[v]);
     view.states = lattice_->Decode(cuboids[v]);
     X3_RETURN_IF_ERROR(FoldFacts(cuboids[v], &view, 0, ctx, nullptr));
-    if (stats != nullptr) {
-      stats->facts_scanned += facts_->size();
-      stats->cells_built += view.cells.size();
+    if (ctx != nullptr) {
+      ctx->costs().base_scans.Add();
+      ctx->costs().view_cells.Add(view.cells.size());
     }
   }
   // Poll() reads the clock only every kDeadlineStride calls: a deadline
@@ -68,8 +67,7 @@ Status CubeViewStore::Materialize(
   if (answer != nullptr && !built.empty()) {
     std::vector<size_t> every_position(built.back().present.size());
     std::iota(every_position.begin(), every_position.end(), 0);
-    *answer = Project(built.back(), every_position, /*needs_ids=*/false,
-                      stats);
+    *answer = Project(built.back(), every_position, /*needs_ids=*/false);
   }
   // Publish under the lock; every build above ran on private state.
   MutexLock lock(&mu_);
@@ -181,12 +179,11 @@ bool CubeViewStore::IsLndDescendant(const View& view, CuboidId target,
 }
 
 std::unordered_map<GroupKey, AggregateState> CubeViewStore::Project(
-    const View& view, const std::vector<size_t>& kept, bool needs_ids,
-    ViewComputeStats* stats) const {
+    const View& view, const std::vector<size_t>& kept,
+    bool needs_ids) const {
   std::unordered_map<GroupKey, AggregateState> out;
-  std::unordered_map<GroupKey, FactIdSet> fact_sets;
+  std::unordered_map<GroupKey, std::vector<const ViewCell*>> groups;
   for (const auto& [key, cell] : view.cells) {
-    if (stats != nullptr) ++stats->view_cells_scanned;
     GroupKey target_key;
     target_key.reserve(kept.size() * kKeyFieldBytes);
     bool has_null = false;
@@ -202,19 +199,29 @@ std::unordered_map<GroupKey, AggregateState> CubeViewStore::Project(
     // Dropped-axis null cells DO contribute (the fact belongs to the
     // target group even though the dropped axis was missing).
     if (needs_ids) {
-      // Set union deduplicates facts reaching the target group from
-      // several source cells (the disjointness repair, §3.6).
-      fact_sets[target_key].UnionWith(cell.facts);
+      groups[target_key].push_back(&cell);
     } else {
       out[target_key].Merge(cell.agg);
     }
   }
-  for (auto& [key, set] : fact_sets) {
-    AggregateState& agg = out[key];
-    set.ForEach([&](uint32_t f) {
-      agg.Update(facts_->measure(f));
-      if (stats != nullptr) ++stats->facts_scanned;
-    });
+  if (!needs_ids) return out;
+  // A fact reaching one target group through several source cells must
+  // count once (the disjointness repair, §3.6). Each fact's stamp holds
+  // the number of the last group that counted it, so every group is
+  // one linear walk over its cells' ids; the aggregates are
+  // commutative, so the walk order does not matter.
+  std::vector<uint32_t> stamp(facts_->size(), 0);
+  uint32_t group_number = 0;
+  for (const auto& [target_key, cells] : groups) {
+    ++group_number;
+    AggregateState& agg = out[target_key];
+    for (const ViewCell* cell : cells) {
+      cell->facts.ForEach([&](uint32_t f) {
+        if (stamp[f] == group_number) return;
+        stamp[f] = group_number;
+        agg.Update(facts_->measure(f));
+      });
+    }
   }
   return out;
 }
@@ -274,7 +281,7 @@ CubeViewStore::AnswerFromViews(CuboidId target, AggregateFunction fn,
       st->strategy = best_needs_ids ? ViewStrategy::kRollupWithIds
                                     : ViewStrategy::kRollup;
     }
-    return Project(*best, best_kept, best_needs_ids, st);
+    return Project(*best, best_kept, best_needs_ids);
   }
   return Status::NotFound("no usable view for cuboid " +
                           std::to_string(target));
@@ -298,7 +305,6 @@ Result<std::unordered_map<GroupKey, AggregateState>> CubeViewStore::Answer(
   std::unordered_map<GroupKey, AggregateState> out;
   GroupWalk walk(*lattice_, target, UncoveredAxis::kDropFact);
   for (size_t f = 0; f < facts_->size(); ++f) {
-    ++st->facts_scanned;
     const int64_t measure = facts_->measure(f);
     walk.ForEachGroup(*facts_, f, [&](const GroupKey& key) {
       out[key].Update(measure);

@@ -25,10 +25,11 @@ enum class ViewStrategy : uint8_t {
   /// Rolled up from a materialized LND-ancestor without fact ids
   /// (requires the dropped axes to be disjoint at the view's states).
   kRollup,
-  /// Rolled up from a materialized LND-ancestor by unioning the
-  /// tracked fact-id sets — correct even without summarizability
-  /// (§3.6's "accompany intermediate results ... with the attributes to
-  /// be aggregated, keeping track of fact items").
+  /// Rolled up from a materialized LND-ancestor by re-aggregating the
+  /// tracked fact ids, each fact once per target group — correct even
+  /// without summarizability (§3.6's "accompany intermediate results
+  /// ... with the attributes to be aggregated, keeping track of fact
+  /// items").
   kRollupWithIds,
   /// No usable view: computed from the base fact table.
   kBase,
@@ -36,14 +37,11 @@ enum class ViewStrategy : uint8_t {
 
 const char* ViewStrategyToString(ViewStrategy s);
 
-/// Statistics for one Answer() or Materialize() call.
+/// How one Answer() or AnswerFromViews() call was answered, and from
+/// which view.
 struct ViewComputeStats {
   ViewStrategy strategy = ViewStrategy::kBase;
   CuboidId source_view = 0;
-  uint64_t view_cells_scanned = 0;
-  uint64_t facts_scanned = 0;
-  /// Cells of the views Materialize built (null-value groups included).
-  uint64_t cells_built = 0;
 };
 
 /// Materialized intermediate cube results (§3.6).
@@ -57,8 +55,8 @@ struct ViewComputeStats {
 ///
 /// Answer(target) picks the cheapest correct strategy: the exact view;
 /// an LND-ancestor view rolled up without ids when the dropped axes are
-/// provably disjoint; an id-carrying ancestor with fact-set union; or
-/// the base table.
+/// provably disjoint; an id-carrying ancestor re-aggregated from its
+/// fact ids; or the base table.
 ///
 /// Thread safety: the view map is guarded by `mu_` (rank
 /// lock_rank::kViewStore), so concurrent Answer() calls — the shared
@@ -88,16 +86,15 @@ class CubeViewStore {
   /// once every one is built. `ctx` (may be null) is polled once per
   /// fact and checked once more before publishing: when it reports
   /// cancellation or an expired deadline, no view is published and that
-  /// status is returned. `answer` (may be null) receives the last
-  /// cuboid's cells, projected from its new view exactly as
-  /// AnswerFromViews projects an exact hit, before the view is
-  /// published, so a concurrent eviction cannot empty it. `stats` (may
-  /// be null) accumulates facts_scanned and cells_built.
+  /// status is returned. Each view build counts one base scan and its
+  /// cells (null-value groups included) into ctx->costs(). `answer`
+  /// (may be null) receives the last cuboid's cells, projected from its
+  /// new view exactly as AnswerFromViews projects an exact hit, before
+  /// the view is published, so a concurrent eviction cannot empty it.
   Status Materialize(const std::vector<CuboidId>& cuboids,
                      bool with_fact_ids, ExecutionContext* ctx,
                      std::unordered_map<GroupKey, AggregateState>* answer =
-                         nullptr,
-                     ViewComputeStats* stats = nullptr) X3_EXCLUDES(mu_);
+                         nullptr) X3_EXCLUDES(mu_);
 
   /// Drops the materialized view of `cuboid`; false when it was not
   /// materialized. The serving layer's cuboid cache uses this as its
@@ -202,11 +199,11 @@ class CubeViewStore {
 
   /// Projects `view`'s cells onto the key fields at `kept` positions,
   /// skipping cells with a null kept field; merges aggregates, or with
-  /// `needs_ids` re-aggregates the union of the fact ids. An exact
-  /// projection keeps every position.
+  /// `needs_ids` re-aggregates each target group from its cells' fact
+  /// ids, every fact once. An exact projection keeps every position.
   std::unordered_map<GroupKey, AggregateState> Project(
-      const View& view, const std::vector<size_t>& kept, bool needs_ids,
-      ViewComputeStats* stats) const;
+      const View& view, const std::vector<size_t>& kept,
+      bool needs_ids) const;
 
   /// Approximate memory of one view (caller holds mu_; the view itself
   /// is all the state touched).

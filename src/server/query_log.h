@@ -56,7 +56,8 @@ struct QueryLogRecord {
   /// Admission-budget peak while this query completed (shared budget:
   /// the server-wide high-water mark, not a per-query attribution).
   uint64_t budget_peak_bytes = 0;
-  /// External-sort spill traffic recorded by this query's stages.
+  /// External-sort spill bytes of this query, from its execution
+  /// context's cost counts (its stage bytes break the same sum down).
   uint64_t spill_bytes = 0;
 
   /// Per-stage wall-clock breakdown from the execution context.

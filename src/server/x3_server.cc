@@ -69,13 +69,6 @@ Gauge* ShapesGauge() {
   return gauge;
 }
 
-Counter* WalCommitsCounter() {
-  static Counter* counter = MetricRegistry::Global().GetCounter(
-      "x3_wal_commits_total",
-      "Write batches committed through the server's WAL lane");
-  return counter;
-}
-
 Counter* WalCommitFailuresCounter() {
   static Counter* counter = MetricRegistry::Global().GetCounter(
       "x3_wal_commit_failures_total",
@@ -111,6 +104,42 @@ Counter* StuckQueriesCounter() {
       "Queries the watchdog flagged as in flight past their stuck "
       "threshold");
   return counter;
+}
+
+Counter* CacheHitsCounter() {
+  static Counter* counter = MetricRegistry::Global().GetCounter(
+      "x3_server_cache_hits_total",
+      "Cuboids answered exactly from a cached materialized view");
+  return counter;
+}
+
+Counter* RollupAnswersCounter() {
+  static Counter* counter = MetricRegistry::Global().GetCounter(
+      "x3_server_rollup_answers_total",
+      "Cuboids answered by safe roll-up from a cached finer view");
+  return counter;
+}
+
+Counter* CacheMissesCounter() {
+  static Counter* counter = MetricRegistry::Global().GetCounter(
+      "x3_server_cache_misses_total",
+      "Queries no cached view could answer (views built or cube "
+      "computed)");
+  return counter;
+}
+
+Counter* CacheServedCounter() {
+  static Counter* counter = MetricRegistry::Global().GetCounter(
+      "x3_server_cache_served_total",
+      "Queries answered entirely from cached views");
+  return counter;
+}
+
+Histogram* QueryLatencyHistogram() {
+  static Histogram* histogram = MetricRegistry::Global().GetHistogram(
+      "x3_server_query_latency_seconds",
+      "End-to-end per-query latency in seconds (worker pickup to answer)");
+  return histogram;
 }
 
 Counter* SlowQueriesCounter() {
@@ -219,19 +248,6 @@ void X3Server::RunTask(const std::shared_ptr<Ticket>& ticket,
   MetricRegistry& registry = MetricRegistry::Global();
   static Counter* queries = registry.GetCounter(
       "x3_server_queries_total", "Queries submitted to the serving layer");
-  static Counter* cache_hits = registry.GetCounter(
-      "x3_server_cache_hits_total",
-      "Cuboids answered exactly from a cached materialized view");
-  static Counter* rollup_answers = registry.GetCounter(
-      "x3_server_rollup_answers_total",
-      "Cuboids answered by safe roll-up from a cached finer view");
-  static Counter* cache_misses = registry.GetCounter(
-      "x3_server_cache_misses_total",
-      "Queries no cached view could answer (views built or cube "
-      "computed)");
-  static Counter* cache_served = registry.GetCounter(
-      "x3_server_cache_served_total",
-      "Queries answered entirely from cached views");
   static Counter* cancelled = registry.GetCounter(
       "x3_server_cancelled_total", "Queries that unwound with kCancelled");
   static Counter* deadline_exceeded = registry.GetCounter(
@@ -243,9 +259,6 @@ void X3Server::RunTask(const std::shared_ptr<Ticket>& ticket,
       "deadline or admission");
   static Gauge* inflight =
       registry.GetGauge("x3_server_inflight", "Queries currently executing");
-  static Histogram* latency = registry.GetHistogram(
-      "x3_server_query_latency_seconds",
-      "End-to-end per-query latency in seconds (worker pickup to answer)");
 
   queries->Increment();
   inflight->Add(1);
@@ -277,7 +290,7 @@ void X3Server::RunTask(const std::shared_ptr<Ticket>& ticket,
   }();
   double seconds = timer.ElapsedSeconds();
   DeregisterInflight(ticket->query_id());
-  latency->Observe(seconds);
+  QueryLatencyHistogram()->Observe(seconds);
   inflight->Add(-1);
 
   record.latency_seconds = seconds;
@@ -288,14 +301,16 @@ void X3Server::RunTask(const std::shared_ptr<Ticket>& ticket,
     record.exact_hits = result->exact_hits;
     record.rollup_answers = result->rollup_answers;
     record.computed = result->computed;
-    if (result->exact_hits > 0) cache_hits->Increment(result->exact_hits);
+    if (result->exact_hits > 0) {
+      CacheHitsCounter()->Increment(result->exact_hits);
+    }
     if (result->rollup_answers > 0) {
-      rollup_answers->Increment(result->rollup_answers);
+      RollupAnswersCounter()->Increment(result->rollup_answers);
     }
     if (result->computed) {
-      cache_misses->Increment();
+      CacheMissesCounter()->Increment();
     } else {
-      cache_served->Increment();
+      CacheServedCounter()->Increment();
     }
   } else {
     record.error = result.status().message();
@@ -418,8 +433,7 @@ std::shared_ptr<const X3Server::ShapeSnapshot> X3Server::PinSnapshot(
 
 Status X3Server::EnsureMaterialized(
     ShapeState* shape, const std::shared_ptr<const ShapeSnapshot>& snapshot,
-    std::optional<CuboidId> target, ExecutionContext* ctx, CellMap* answer,
-    ViewComputeStats* stats) {
+    std::optional<CuboidId> target, ExecutionContext* ctx, CellMap* answer) {
   // The finest cuboid is the universal donor — TDOPTALL's roll-up
   // property means every coarser cuboid rolls up from it (with fact ids
   // when disjointness is unproven) — plus the requested cuboid itself
@@ -432,15 +446,14 @@ Status X3Server::EnsureMaterialized(
   if (target.has_value()) build.push_back(*target);
   if (build.empty()) return Status::OK();
 
-  ViewComputeStats local;
-  ViewComputeStats* st = stats != nullptr ? stats : &local;
   ScopedStageTimer timer(ctx->stats(), "cache-fill", ctx->tracer());
+  const uint64_t cells_before = ctx->costs().view_cells.value();
   // Fact ids repair disjointness for later roll-ups; when the property
   // map proves disjointness everywhere the id-less views suffice and
   // cost far less memory (§3.6's trade-off).
   Status built = snapshot->views->Materialize(
-      build, !shape->disjoint_everywhere, ctx, answer, st);
-  timer.AddRows(st->cells_built);
+      build, !shape->disjoint_everywhere, ctx, answer);
+  timer.AddRows(ctx->costs().view_cells.value() - cells_before);
   X3_RETURN_IF_ERROR(built);
   std::vector<size_t> bytes;
   for (CuboidId cuboid : build) {
@@ -497,10 +510,8 @@ Result<ServerAnswer> X3Server::RunQuery(const ServerRequest& request,
       for (const StageTiming& t : ctx->stats()->timings()) {
         record->stages.push_back(
             QueryStageMs{t.label, t.seconds * 1e3, t.rows, t.bytes});
-        // Stage bytes are exclusively external-sort spill I/O today
-        // (ScopedStageTimer::AddBytes at the sorter call sites).
-        record->spill_bytes += t.bytes;
       }
+      record->spill_bytes = ctx->costs().spill_bytes.value();
     }
   } stage_copy{&ctx, record};
 
@@ -604,18 +615,18 @@ Result<ServerAnswer> X3Server::RunQuery(const ServerRequest& request,
     // lattice compute runs and no downgrade applies.
     inflight->stage.store("cache-fill", std::memory_order_relaxed);
     CellMap target_cells;
-    ViewComputeStats fill;
     X3_RETURN_IF_ERROR(EnsureMaterialized(shape.get(), snapshot,
                                           request.target, &ctx,
-                                          &target_cells, &fill));
+                                          &target_cells));
     if (past_slow_threshold()) {
       std::optional<StageTiming> t = ctx.stats()->Find("cache-fill");
       record->slow_explain = StringPrintf(
           "view-built miss: cuboid %llu from base, %llu facts scanned, "
           "%llu cells built, %.3f ms",
           static_cast<unsigned long long>(*request.target),
-          static_cast<unsigned long long>(fill.facts_scanned),
-          static_cast<unsigned long long>(fill.cells_built),
+          static_cast<unsigned long long>(ctx.costs().base_scans.value() *
+                                          facts.size()),
+          static_cast<unsigned long long>(ctx.costs().view_cells.value()),
           t.has_value() ? t->seconds * 1e3 : 0.0);
     }
     cells.emplace_back(*request.target, std::move(target_cells));
@@ -644,11 +655,9 @@ Result<ServerAnswer> X3Server::RunQuery(const ServerRequest& request,
     // min_count stays 0: the cache holds unfiltered cells so requests
     // with different iceberg thresholds share the same views; the
     // filter is applied per request below.
-    CubeComputeStats stats;
     X3_ASSIGN_OR_RETURN(
         CubeResult cube,
-        ComputeCube(algorithm, facts, lattice, compute,  // x3-lint: allow(server-compute-cube) -- the full-cube and cache-bypass miss path
-                    &stats));
+        ComputeCube(algorithm, facts, lattice, compute));  // x3-lint: allow(server-compute-cube) -- the full-cube and cache-bypass miss path
     if (past_slow_threshold()) {
       // Slow lane: this query is already past the threshold, so RunTask
       // will mark its record slow — attach the full plan-with-actuals
@@ -669,8 +678,7 @@ Result<ServerAnswer> X3Server::RunQuery(const ServerRequest& request,
     if (request.use_cache) {
       inflight->stage.store("cache-fill", std::memory_order_relaxed);
       X3_RETURN_IF_ERROR(EnsureMaterialized(shape.get(), snapshot,
-                                            std::nullopt, &ctx, nullptr,
-                                            nullptr));
+                                            std::nullopt, &ctx, nullptr));
     }
   }
 
@@ -777,7 +785,6 @@ Result<ServerWriteResult> X3Server::CommitDocuments(
     }
     result.commit_lsn = *lsn;
   }
-  WalCommitsCounter()->Increment();
   WalDocumentsCounter()->Increment(documents.size());
   WalLastCommitLsnGauge()->Set(static_cast<int64_t>(result.commit_lsn));
 
@@ -930,31 +937,12 @@ StatuszReport X3Server::Statusz() const {
   r.cache_bytes = cache_.bytes();
   r.cache_views = cache_.num_views();
   r.cache_evictions = cache_.evictions();
-  // The very counters RunTask increments (same registry objects), so a
-  // statusz snapshot and a metrics scrape agree by construction.
-  MetricRegistry& registry = MetricRegistry::Global();
-  r.cache_hits =
-      registry
-          .GetCounter("x3_server_cache_hits_total",
-                      "Cuboids answered exactly from a cached materialized "
-                      "view")
-          ->value();
-  r.rollup_answers =
-      registry
-          .GetCounter("x3_server_rollup_answers_total",
-                      "Cuboids answered by safe roll-up from a cached finer "
-                      "view")
-          ->value();
-  r.cache_misses = registry
-                       .GetCounter("x3_server_cache_misses_total",
-                                   "Queries no cached view could answer "
-                                   "(views built or cube computed)")
-                       ->value();
-  uint64_t served =
-      registry
-          .GetCounter("x3_server_cache_served_total",
-                      "Queries answered entirely from cached views")
-          ->value();
+  // The very counters RunTask increments (same accessors), so a statusz
+  // snapshot and a metrics scrape agree by construction.
+  r.cache_hits = CacheHitsCounter()->value();
+  r.rollup_answers = RollupAnswersCounter()->value();
+  r.cache_misses = CacheMissesCounter()->value();
+  uint64_t served = CacheServedCounter()->value();
   r.cache_hit_ratio =
       served + r.cache_misses > 0
           ? static_cast<double>(served) /
@@ -967,9 +955,7 @@ StatuszReport X3Server::Statusz() const {
   r.admission_denied = AdmissionDeniedCounter()->value();
   r.stuck_queries = StuckQueriesCounter()->value();
 
-  Histogram* latency = registry.GetHistogram(
-      "x3_server_query_latency_seconds",
-      "End-to-end per-query latency in seconds (worker pickup to answer)");
+  Histogram* latency = QueryLatencyHistogram();
   r.latency_p50_ms = latency->Quantile(0.50) * 1e3;
   r.latency_p95_ms = latency->Quantile(0.95) * 1e3;
   r.latency_p99_ms = latency->Quantile(0.99) * 1e3;

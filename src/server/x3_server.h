@@ -440,13 +440,13 @@ class X3Server {
   /// own query but never registers them with the cache, so the cache
   /// never holds keys into a store whose snapshot has been retired.
   /// `answer` (may be null) receives `target`'s cells read from the
-  /// view just built; `stats` (may be null) counts facts scanned and
-  /// cells built. Returns kCancelled / kDeadlineExceeded when `ctx`
-  /// trips during the build, with nothing published or cached.
+  /// view just built; the builds count into ctx->costs(). Returns
+  /// kCancelled / kDeadlineExceeded when `ctx` trips during the build,
+  /// with nothing published or cached.
   Status EnsureMaterialized(
       ShapeState* shape, const std::shared_ptr<const ShapeSnapshot>& snapshot,
-      std::optional<CuboidId> target, ExecutionContext* ctx, CellMap* answer,
-      ViewComputeStats* stats);
+      std::optional<CuboidId> target, ExecutionContext* ctx,
+      CellMap* answer);
 
   /// Delta-maintains one shape after a batch committed at `commit_lsn`
   /// grew the database past `first_new_node`: clones the fact table,

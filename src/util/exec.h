@@ -180,14 +180,45 @@ class ScopedStageTimer {
   Timer timer_;
 };
 
+/// One relaxed atomic sum. The workers of an execution add to it
+/// concurrently; a sum needs no ordering, so relaxed adds give the same
+/// total at every parallelism.
+class CostCounter {
+ public:
+  void Add(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
+  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
+
+ private:
+  std::atomic<uint64_t> value_{0};
+};
+
+/// The machine-independent cost counts of one execution: the one
+/// account of what it did. EXPLAIN ANALYZE's stage rows and bytes break
+/// the same events down per step; the x3_* metrics sum them over the
+/// process. Callers add once per scan, sort, pass or view, never once
+/// per fact, record or partition: hot loops count into a local first.
+struct ExecutionCosts {
+  CostCounter base_scans;      // scans of the fact table (a view build is one)
+  CostCounter passes;          // COUNTER passes over the input
+  CostCounter sorts;           // external sorts run (TD family)
+  CostCounter records_sorted;  // records fed into those sorts
+  CostCounter spilled_runs;    // sorted runs spilled to temp files
+  CostCounter spill_bytes;     // bytes written to those runs
+  CostCounter partitions;      // BUC partitions recursed into
+  CostCounter partition_rows;  // rows placed into BUC partitions
+  CostCounter rollups;         // cuboids rolled up or copied, not from base
+  CostCounter view_cells;      // cells of the views CubeViewStore built
+};
+
 /// The execution environment threaded through a whole query: memory
 /// budget, temp-file manager, cooperative cancellation, a monotonic
-/// deadline, and the per-stage stats sink. One context per execution,
-/// shareable by that execution's worker threads: the budget is atomic,
-/// the stats sink synchronizes Record, the cancellation flag and the
-/// deadline are immutable-or-atomic, and the deadline poll stride
-/// counter is per-thread state — Poll() and CheckInterrupted() may be
-/// called concurrently from any worker.
+/// deadline, the per-stage stats sink and the cost counts. One context
+/// per execution, shareable by that execution's worker threads: the
+/// budget and the cost counts are atomic, the stats sink synchronizes
+/// Record, the cancellation flag and the deadline are
+/// immutable-or-atomic, and the deadline poll stride counter is
+/// per-thread state — Poll() and CheckInterrupted() may be called
+/// concurrently from any worker.
 ///
 /// Cancellation contract: every long-running loop (fact scans, BUC
 /// recursion, sort runs, merge passes) calls Poll() and propagates a
@@ -239,6 +270,9 @@ class ExecutionContext {
 
   StatsSink* stats() { return &stats_; }
   const StatsSink& stats() const { return stats_; }
+
+  ExecutionCosts& costs() { return costs_; }
+  const ExecutionCosts& costs() const { return costs_; }
 
   /// The tracer spans of this execution record into (never null).
   Tracer* tracer() const {
@@ -292,6 +326,7 @@ class ExecutionContext {
 
   Options options_;
   StatsSink stats_;
+  ExecutionCosts costs_;
 };
 
 /// A deadline `seconds` from now on the context clock.

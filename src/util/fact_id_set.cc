@@ -8,12 +8,6 @@ namespace x3 {
 
 namespace {
 
-Counter& UnionsCounter() {
-  static Counter* c = MetricRegistry::Global().GetCounter(
-      "x3_factset_unions_total", "FactIdSet union operations");
-  return *c;
-}
-
 Counter& PromotionsCounter() {
   static Counter* c = MetricRegistry::Global().GetCounter(
       "x3_factset_container_promotions_total",
@@ -30,13 +24,6 @@ inline void BitmapSet(std::vector<uint64_t>& bitmap, uint16_t low) {
 }
 
 }  // namespace
-
-size_t FactIdSet::Chunk::Cardinality() const {
-  if (kind == ContainerKind::kArray) return array.size();
-  size_t n = 0;
-  for (uint64_t word : bitmap) n += __builtin_popcountll(word);
-  return n;
-}
 
 FactIdSet FactIdSet::FromIds(const std::vector<uint32_t>& ids) {
   FactIdSet set;
@@ -107,37 +94,6 @@ bool FactIdSet::Contains(uint32_t id) const {
 void FactIdSet::Clear() {
   chunks_.clear();
   cardinality_ = 0;
-}
-
-void FactIdSet::UnionChunk(Chunk* dst, const Chunk& src) {
-  if (dst->kind == ContainerKind::kArray &&
-      src.kind == ContainerKind::kArray) {
-    std::vector<uint16_t> merged;
-    merged.reserve(dst->array.size() + src.array.size());
-    std::set_union(dst->array.begin(), dst->array.end(), src.array.begin(),
-                   src.array.end(), std::back_inserter(merged));
-    dst->array = std::move(merged);
-    if (dst->array.size() > kArrayContainerMax) Promote(dst);
-    return;
-  }
-  if (dst->kind == ContainerKind::kArray) Promote(dst);
-  if (src.kind == ContainerKind::kBitmap) {
-    for (size_t word = 0; word < kBitmapWords; ++word) {
-      dst->bitmap[word] |= src.bitmap[word];
-    }
-  } else {
-    for (uint16_t low : src.array) BitmapSet(dst->bitmap, low);
-  }
-}
-
-void FactIdSet::UnionWith(const FactIdSet& other) {
-  UnionsCounter().Increment();
-  for (const Chunk& src : other.chunks_) {
-    Chunk* dst = FindOrCreateChunk(src.key);
-    UnionChunk(dst, src);
-  }
-  cardinality_ = 0;
-  for (const Chunk& chunk : chunks_) cardinality_ += chunk.Cardinality();
 }
 
 bool FactIdSet::operator==(const FactIdSet& other) const {

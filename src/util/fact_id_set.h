@@ -28,7 +28,7 @@ namespace x3 {
 /// partition walks preserve their previous sorted-vector semantics
 /// exactly.
 ///
-/// Unions and promotions feed x3_factset_*_total counters in the metric
+/// Promotions feed x3_factset_container_promotions_total in the metric
 /// registry.
 ///
 /// Not thread-safe; use external synchronization (the view store
@@ -56,9 +56,6 @@ class FactIdSet {
   bool empty() const { return cardinality_ == 0; }
 
   void Clear();
-
-  /// this |= other.
-  void UnionWith(const FactIdSet& other);
 
   bool operator==(const FactIdSet& other) const;
   bool operator!=(const FactIdSet& other) const { return !(*this == other); }
@@ -103,15 +100,12 @@ class FactIdSet {
     ContainerKind kind = ContainerKind::kArray;
     std::vector<uint16_t> array;   // sorted, unique
     std::vector<uint64_t> bitmap;  // kBitmapWords when active
-
-    size_t Cardinality() const;
   };
 
   /// Chunk for `key`, created (as an empty array container) on demand.
   Chunk* FindOrCreateChunk(uint16_t key);
   const Chunk* FindChunk(uint16_t key) const;
   static void Promote(Chunk* chunk);
-  static void UnionChunk(Chunk* dst, const Chunk& src);
 
   /// Sorted by key; no empty chunks.
   std::vector<Chunk> chunks_;

@@ -1,6 +1,5 @@
 #include "x3/engine.h"
 
-#include <algorithm>
 #include <optional>
 #include <utility>
 
@@ -60,8 +59,9 @@ Result<X3ExecutionResult> X3Engine::ExecuteQuery(
   double materialize_seconds = timer.ElapsedSeconds();
 
   // The materialized fact table is working memory of the query: charge
-  // it for the duration of the cube computation so peak_memory reflects
-  // the real footprint and budgeted algorithms see what is left.
+  // it for the duration of the cube computation so the budget's peak
+  // reflects the real footprint and budgeted algorithms see what is
+  // left.
   std::optional<ScopedReservation> facts_reservation;
   if (budget != nullptr) {
     facts_reservation.emplace(budget, facts.ApproxBytes());
@@ -69,18 +69,12 @@ Result<X3ExecutionResult> X3Engine::ExecuteQuery(
   X3_RETURN_IF_ERROR(ctx->CheckInterrupted());
 
   timer.Reset();
-  CubeComputeStats stats;
-  X3_ASSIGN_OR_RETURN(CubeResult cube, ComputeCube(algorithm, facts, lattice,
-                                                   options, &stats));
+  X3_ASSIGN_OR_RETURN(CubeResult cube,
+                      ComputeCube(algorithm, facts, lattice, options));
   double cube_seconds = timer.ElapsedSeconds();
-  if (budget != nullptr) {
-    stats.peak_memory =
-        std::max<uint64_t>(stats.peak_memory, budget->peak());
-  }
 
   X3ExecutionResult result(std::move(lattice), std::move(facts),
                            std::move(cube));
-  result.stats = stats;
   result.materialize_seconds = materialize_seconds;
   result.cube_seconds = cube_seconds;
   result.plan_seconds = ctx->stats()->TotalSeconds("plan");

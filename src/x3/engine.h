@@ -35,7 +35,6 @@ struct X3ExecutionResult {
   CubeLattice lattice;
   FactTable facts;
   CubeResult cube;
-  CubeComputeStats stats;
   /// Wall-clock split: pattern evaluation / fact materialization vs
   /// cube computation (the paper times only the latter).
   double materialize_seconds = 0;
@@ -101,10 +100,10 @@ class X3Engine {
 
   /// Pipeline from an already-compiled query. When `options.exec` is
   /// set, its cancellation token and deadline cover the whole pipeline
-  /// (materialization included) and its budget is charged for the
-  /// materialized fact table; otherwise it runs unlimited and
-  /// uncancellable. Stage timings land in
-  /// X3ExecutionResult::stage_timings either way.
+  /// (materialization included), its budget is charged for the
+  /// materialized fact table and its costs() count the computation;
+  /// otherwise it runs unlimited and uncancellable. Stage timings land
+  /// in X3ExecutionResult::stage_timings either way.
   ///
   /// `options.parallelism` applies to the cube-computation phase only
   /// (pattern evaluation and fact materialization stay single-threaded)

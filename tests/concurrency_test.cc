@@ -2,13 +2,13 @@
 // executor: the annotated Mutex/MutexLock/CondVar primitives with
 // their debug lock-order detector, MemoryBudget's atomic hard cap,
 // StatsSink's synchronized Record/Append, ThreadPool/TaskGroup
-// scheduling and draining, and RunPlanTasks' dependency ordering and
-// failure semantics. These run in the ThreadSanitizer CI lane (label
-// "tsan"), so a data race here is a build failure, not a flake.
+// scheduling and draining, and RunPlanTasks' dependency ordering,
+// failure semantics and cost counting. These run in the
+// ThreadSanitizer CI lane (label "tsan"), so a data race here is a
+// build failure, not a flake.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <thread>
@@ -477,7 +477,7 @@ std::vector<PlanTask> ChainTasks(std::vector<int>* order, size_t n) {
   std::vector<PlanTask> tasks;
   for (size_t i = 0; i < n; ++i) {
     PlanTask task;
-    task.run = [order, i](CubeComputeStats*) {
+    task.run = [order, i] {
       order->push_back(static_cast<int>(i));
       return Status::OK();
     };
@@ -490,8 +490,7 @@ std::vector<PlanTask> ChainTasks(std::vector<int>* order, size_t n) {
 TEST(RunPlanTasksTest, ChainRunsInDependencyOrderAtEveryParallelism) {
   for (size_t parallelism : {size_t{1}, size_t{2}, size_t{4}}) {
     std::vector<int> order;  // only ready tasks run, so no lock needed
-    CubeComputeStats stats;
-    Status s = RunPlanTasks(ChainTasks(&order, 16), parallelism, &stats);
+    Status s = RunPlanTasks(ChainTasks(&order, 16), parallelism);
     EXPECT_TRUE(s.ok()) << s;
     ASSERT_EQ(order.size(), 16u) << "parallelism " << parallelism;
     for (size_t i = 0; i < order.size(); ++i) {
@@ -501,31 +500,27 @@ TEST(RunPlanTasksTest, ChainRunsInDependencyOrderAtEveryParallelism) {
   }
 }
 
-TEST(RunPlanTasksTest, IndependentTasksAllRunAndStatsMergeInOrder) {
+TEST(RunPlanTasksTest, IndependentTasksAllRunAndCountsSum) {
   for (size_t parallelism : {size_t{1}, size_t{4}}) {
     std::atomic<uint64_t> ran{0};
+    ExecutionContext ctx;
     std::vector<PlanTask> tasks;
     for (size_t i = 0; i < 20; ++i) {
-      // Tasks accumulate into their stats (++/max, never plain
-      // assignment): at parallelism 1 all tasks share one object, in
-      // parallel each gets a fresh one absorbed at the join.
-      tasks.push_back(
-          PlanTask{[&ran, i](CubeComputeStats* st) {
-                     ran.fetch_add(1);
-                     ++st->base_scans;
-                     st->peak_memory = std::max(st->peak_memory,
-                                                uint64_t{100} + i);
-                     return Status::OK();
-                   },
-                   {}});
+      // Every task counts into the one shared context, from whichever
+      // worker runs it: the relaxed sums must add up exactly.
+      tasks.push_back(PlanTask{[&ran, &ctx, i] {
+                                 ran.fetch_add(1);
+                                 ctx.costs().base_scans.Add();
+                                 ctx.costs().records_sorted.Add(i);
+                                 return Status::OK();
+                               },
+                               {}});
     }
-    CubeComputeStats stats;
-    Status s = RunPlanTasks(std::move(tasks), parallelism, &stats);
+    Status s = RunPlanTasks(std::move(tasks), parallelism);
     EXPECT_TRUE(s.ok()) << s;
     EXPECT_EQ(ran.load(), 20u);
-    EXPECT_EQ(stats.base_scans, 20u);
-    // Absorb takes max for peak_memory, sum for the counters.
-    EXPECT_EQ(stats.peak_memory, 119u);
+    EXPECT_EQ(ctx.costs().base_scans.value(), 20u);
+    EXPECT_EQ(ctx.costs().records_sorted.value(), 190u);  // 0 + ... + 19
   }
 }
 
@@ -533,18 +528,16 @@ TEST(RunPlanTasksTest, FailureSkipsDependentsButReportsByTaskIndex) {
   for (size_t parallelism : {size_t{1}, size_t{4}}) {
     std::atomic<bool> dependent_ran{false};
     std::vector<PlanTask> tasks;
-    tasks.push_back(PlanTask{
-        [](CubeComputeStats*) { return Status::Internal("task 0 fails"); },
-        {}});
+    tasks.push_back(
+        PlanTask{[] { return Status::Internal("task 0 fails"); }, {}});
     PlanTask dependent;
-    dependent.run = [&](CubeComputeStats*) {
+    dependent.run = [&] {
       dependent_ran.store(true);
       return Status::OK();
     };
     dependent.deps.push_back(0);
     tasks.push_back(std::move(dependent));
-    CubeComputeStats stats;
-    Status s = RunPlanTasks(std::move(tasks), parallelism, &stats);
+    Status s = RunPlanTasks(std::move(tasks), parallelism);
     EXPECT_EQ(s.code(), StatusCode::kInternal)
         << "parallelism " << parallelism;
     EXPECT_FALSE(dependent_ran.load()) << "parallelism " << parallelism;
@@ -558,54 +551,21 @@ TEST(RunPlanTasksTest, FirstErrorByIndexWinsOverCompletionOrder) {
     std::vector<PlanTask> tasks;
     for (size_t i = 0; i < 4; ++i) {
       tasks.push_back(
-          PlanTask{[i](CubeComputeStats*) -> Status {
+          PlanTask{[i]() -> Status {
                      if (i == 1) return Status::InvalidArgument("low index");
                      if (i == 3) return Status::Internal("high index");
                      return Status::OK();
                    },
                    {}});
     }
-    CubeComputeStats stats;
-    Status s = RunPlanTasks(std::move(tasks), 4, &stats);
+    Status s = RunPlanTasks(std::move(tasks), 4);
     EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s;
   }
 }
 
 TEST(RunPlanTasksTest, EmptyTaskListIsOk) {
-  CubeComputeStats stats;
-  EXPECT_TRUE(RunPlanTasks({}, 4, &stats).ok());
-  EXPECT_TRUE(RunPlanTasks({}, 1, &stats).ok());
-}
-
-// --- CubeComputeStats::Absorb ---
-
-TEST(CubeComputeStatsTest, AbsorbSumsCountersAndMaxesPeak) {
-  CubeComputeStats a;
-  a.base_scans = 1;
-  a.passes = 2;
-  a.sorts = 3;
-  a.records_sorted = 100;
-  a.spilled_runs = 1;
-  a.spill_bytes = 512;
-  a.partitions = 4;
-  a.partition_rows = 40;
-  a.rollups = 5;
-  a.peak_memory = 1000;
-  CubeComputeStats b;
-  b.base_scans = 10;
-  b.rollups = 1;
-  b.peak_memory = 700;
-  a.Absorb(b);
-  EXPECT_EQ(a.base_scans, 11u);
-  EXPECT_EQ(a.passes, 2u);
-  EXPECT_EQ(a.sorts, 3u);
-  EXPECT_EQ(a.records_sorted, 100u);
-  EXPECT_EQ(a.spilled_runs, 1u);
-  EXPECT_EQ(a.spill_bytes, 512u);
-  EXPECT_EQ(a.partitions, 4u);
-  EXPECT_EQ(a.partition_rows, 40u);
-  EXPECT_EQ(a.rollups, 6u);
-  EXPECT_EQ(a.peak_memory, 1000u);  // max, not sum
+  EXPECT_TRUE(RunPlanTasks({}, 4).ok());
+  EXPECT_TRUE(RunPlanTasks({}, 1).ok());
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 
 #include "cube/algorithm.h"
 #include "cube/cube_spec.h"
-#include "cube/executor.h"
 #include "cube/view_store.h"
 #include "gen/treebank_gen.h"
 #include "gen/workload.h"
@@ -701,11 +700,11 @@ TEST(CounterMultipassTest, SmallBudgetForcesPassesButStaysCorrect) {
   ExecutionContext ctx({&budget, nullptr, nullptr, std::nullopt});
   CubeComputeOptions options;
   options.exec = &ctx;
-  CubeComputeStats stats;
   auto cube = ComputeCube(CubeAlgorithm::kCounter, workload->facts,
-                          workload->lattice, options, &stats);
+                          workload->lattice, options);
   ASSERT_TRUE(cube.ok()) << cube.status();
-  EXPECT_GT(stats.passes, 1u) << "budget should force multiple passes";
+  EXPECT_GT(ctx.costs().passes.value(), 1u)
+      << "budget should force multiple passes";
   EXPECT_EQ(budget.used(), 0u);
   std::string diff;
   EXPECT_TRUE(reference->Equals(*cube, &diff)) << diff;
@@ -728,13 +727,12 @@ TEST(TopDownSpillTest, ExternalSortsUnderBudgetStayCorrect) {
   ExecutionContext ctx({&budget, &temp, nullptr, std::nullopt});
   CubeComputeOptions options;
   options.exec = &ctx;
-  CubeComputeStats stats;
   auto cube = ComputeCube(CubeAlgorithm::kTD, workload->facts,
-                          workload->lattice, options, &stats);
+                          workload->lattice, options);
   ASSERT_TRUE(cube.ok()) << cube.status();
-  EXPECT_GT(stats.spilled_runs, 0u);
+  EXPECT_GT(ctx.costs().spilled_runs.value(), 0u);
   EXPECT_EQ(budget.used(), 0u);
-  EXPECT_GT(stats.sorts, 0u);
+  EXPECT_GT(ctx.costs().sorts.value(), 0u);
   std::string diff;
   EXPECT_TRUE(reference->Equals(*cube, &diff)) << diff;
 }
@@ -747,14 +745,15 @@ TEST(TopDownStatsTest, TdOptAllRollsUp) {
   setting.disjointness_holds = true;
   auto workload = BuildTreebankWorkload(setting);
   ASSERT_TRUE(workload.ok());
-  CubeComputeStats stats;
+  ExecutionContext ctx;
+  CubeComputeOptions options;
+  options.exec = &ctx;
   auto cube = ComputeCube(CubeAlgorithm::kTDOptAll, workload->facts,
-                          workload->lattice, {AggregateFunction::kCount},
-                          &stats);
+                          workload->lattice, options);
   ASSERT_TRUE(cube.ok());
   // 2^4 = 16 cuboids: 1 from base, 15 by roll-up.
-  EXPECT_EQ(stats.rollups, 15u);
-  EXPECT_EQ(stats.base_scans, 1u);
+  EXPECT_EQ(ctx.costs().rollups.value(), 15u);
+  EXPECT_EQ(ctx.costs().base_scans.value(), 1u);
 }
 
 TEST(TopDownStatsTest, TdSortsPerCuboidButTdOptShares) {
@@ -763,17 +762,19 @@ TEST(TopDownStatsTest, TdSortsPerCuboidButTdOptShares) {
   setting.num_trees = 100;
   auto workload = BuildTreebankWorkload(setting);
   ASSERT_TRUE(workload.ok());
-  CubeComputeStats td_stats, tdopt_stats;
+  ExecutionContext td_ctx, tdopt_ctx;
+  CubeComputeOptions td, tdopt;
+  td.exec = &td_ctx;
+  tdopt.exec = &tdopt_ctx;
   ASSERT_TRUE(ComputeCube(CubeAlgorithm::kTD, workload->facts,
-                          workload->lattice, {AggregateFunction::kCount},
-                          &td_stats)
+                          workload->lattice, td)
                   .ok());
   ASSERT_TRUE(ComputeCube(CubeAlgorithm::kTDOpt, workload->facts,
-                          workload->lattice, {AggregateFunction::kCount},
-                          &tdopt_stats)
+                          workload->lattice, tdopt)
                   .ok());
-  EXPECT_EQ(td_stats.sorts, 16u);  // one per cuboid
-  EXPECT_LT(tdopt_stats.sorts, td_stats.sorts);  // pipe sharing
+  const uint64_t td_sorts = td_ctx.costs().sorts.value();
+  EXPECT_EQ(td_sorts, 16u);  // one per cuboid
+  EXPECT_LT(tdopt_ctx.costs().sorts.value(), td_sorts);  // pipe sharing
 }
 
 TEST(CustomAlgorithmsTest, ExploitLocalPropertiesOnDblp) {
@@ -794,14 +795,16 @@ TEST(CustomAlgorithmsTest, ExploitLocalPropertiesOnDblp) {
                                workload->lattice, options);
   ASSERT_TRUE(reference.ok());
 
-  CubeComputeStats cust_stats;
+  ExecutionContext cust_ctx;
+  CubeComputeOptions cust = options;
+  cust.exec = &cust_ctx;
   auto tdcust = ComputeCube(CubeAlgorithm::kTDCust, workload->facts,
-                            workload->lattice, options, &cust_stats);
+                            workload->lattice, cust);
   ASSERT_TRUE(tdcust.ok());
   std::string diff;
   EXPECT_TRUE(reference->Equals(*tdcust, &diff)) << diff;
   // It must have used roll-ups where year/journal allowed them.
-  EXPECT_GT(cust_stats.rollups, 0u);
+  EXPECT_GT(cust_ctx.costs().rollups.value(), 0u);
 
   auto buccust = ComputeCube(CubeAlgorithm::kBUCCust, workload->facts,
                              workload->lattice, options);
@@ -910,7 +913,7 @@ TEST(IcebergTest, RegisteredAlgorithmsAgreeAcrossThresholds) {
       }
     }
 
-    for (CubeAlgorithm algo : GlobalCuboidExecutorRegistry().Algorithms()) {
+    for (CubeAlgorithm algo : kAllCubeAlgorithms) {
       CubePlan plan = BuildCubePlan(algo, workload->lattice,
                                     workload->properties);
       auto cube = ComputeCube(algo, workload->facts, workload->lattice,
@@ -935,18 +938,22 @@ TEST(IcebergTest, BucPrunesRecursion) {
   auto workload = BuildTreebankWorkload(setting);
   ASSERT_TRUE(workload.ok());
 
-  CubeComputeStats full_stats, iceberg_stats;
-  CubeComputeOptions options;
+  ExecutionContext full_ctx, iceberg_ctx;
+  CubeComputeOptions full, iceberg;
+  full.exec = &full_ctx;
+  iceberg.exec = &iceberg_ctx;
+  iceberg.min_count = 20;
   ASSERT_TRUE(ComputeCube(CubeAlgorithm::kBUC, workload->facts,
-                          workload->lattice, options, &full_stats)
+                          workload->lattice, full)
                   .ok());
-  options.min_count = 20;
   ASSERT_TRUE(ComputeCube(CubeAlgorithm::kBUC, workload->facts,
-                          workload->lattice, options, &iceberg_stats)
+                          workload->lattice, iceberg)
                   .ok());
-  EXPECT_LT(iceberg_stats.partition_rows, full_stats.partition_rows / 2)
+  const ExecutionCosts& pruned = iceberg_ctx.costs();
+  EXPECT_LT(pruned.partition_rows.value(),
+            full_ctx.costs().partition_rows.value() / 2)
       << "pruning should cut the partitioning work drastically";
-  EXPECT_LT(iceberg_stats.partitions, full_stats.partitions);
+  EXPECT_LT(pruned.partitions.value(), full_ctx.costs().partitions.value());
 }
 
 TEST(IcebergTest, ThresholdOneIsNoOp) {

@@ -26,7 +26,6 @@
 #include "cube/algorithm.h"
 #include "cube/cube_spec.h"
 #include "cube/delta.h"
-#include "cube/executor.h"
 #include "cube/view_store.h"
 #include "schema/summarizability.h"
 #include "storage/temp_file.h"
@@ -125,7 +124,7 @@ void ExpectAllVariantsAgree(const FactTable& appended, const FactTable& fresh,
                             const LatticeProperties& properties,
                             const std::string& label) {
   ASSERT_EQ(appended.size(), fresh.size()) << label;
-  for (CubeAlgorithm algo : GlobalCuboidExecutorRegistry().Algorithms()) {
+  for (CubeAlgorithm algo : kAllCubeAlgorithms) {
     for (size_t parallelism : ParallelismLevels()) {
       auto compute = [&](const FactTable& facts) -> Result<CubeResult> {
         MemoryBudget budget;

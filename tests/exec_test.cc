@@ -1,19 +1,17 @@
 // Tests for the execution layer introduced by the plan/executor split:
-// CancellationToken, StatsSink, ExecutionContext, the CuboidExecutor
-// registry, BuildCubePlan/ExplainCubePlan across all nine variants, and
-// the cross-algorithm conformance harness (every registered executor vs
-// the reference, including mid-flight cancellation and deadline-expiry
-// unwinds with full budget release).
+// CancellationToken, StatsSink, ExecutionContext, BuildCubePlan/
+// ExplainCubePlan across all nine variants, and the cross-algorithm
+// conformance harness (every variant vs the reference, including
+// mid-flight cancellation and deadline-expiry unwinds with full budget
+// release).
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
 
 #include "cube/algorithm.h"
-#include "cube/executor.h"
 #include "cube/plan.h"
 #include "gen/workload.h"
 #include "storage/temp_file.h"
@@ -154,37 +152,6 @@ TEST(ExecutionContextTest, RemainingSecondsTracksFutureDeadline) {
   EXPECT_LE(*ctx.RemainingSeconds(), 100.0);
 }
 
-// --- Executor registry ---
-
-TEST(ExecutorRegistryTest, GlobalRegistryCoversAllNineVariants) {
-  CuboidExecutorRegistry& registry = GlobalCuboidExecutorRegistry();
-  std::vector<CubeAlgorithm> algorithms = registry.Algorithms();
-  EXPECT_EQ(algorithms.size(), 9u);
-  for (CubeAlgorithm algo :
-       {CubeAlgorithm::kReference, CubeAlgorithm::kCounter,
-        CubeAlgorithm::kBUC, CubeAlgorithm::kBUCOpt, CubeAlgorithm::kBUCCust,
-        CubeAlgorithm::kTD, CubeAlgorithm::kTDOpt, CubeAlgorithm::kTDOptAll,
-        CubeAlgorithm::kTDCust}) {
-    const CuboidExecutor* executor = registry.Find(algo);
-    ASSERT_NE(executor, nullptr) << CubeAlgorithmToString(algo);
-    EXPECT_NE(std::string(executor->name()), "");
-    EXPECT_EQ(std::count(algorithms.begin(), algorithms.end(), algo), 1);
-  }
-}
-
-TEST(ExecutorRegistryTest, DuplicateRegistrationFails) {
-  CuboidExecutorRegistry registry;
-  ASSERT_TRUE(registry
-                  .Register(CubeAlgorithm::kReference,
-                            internal::MakeReferenceExecutor())
-                  .ok());
-  Status duplicate = registry.Register(CubeAlgorithm::kReference,
-                                       internal::MakeCounterExecutor());
-  EXPECT_EQ(duplicate.code(), StatusCode::kAlreadyExists);
-  EXPECT_EQ(registry.Find(CubeAlgorithm::kCounter), nullptr);
-  EXPECT_EQ(registry.Algorithms().size(), 1u);
-}
-
 // --- Plans and EXPLAIN for every variant ---
 
 Result<Workload> OverlapWorkload() {
@@ -212,7 +179,7 @@ Result<Workload> SummarizableWorkload() {
 TEST(CubePlanTest, EveryVariantPlansEveryCuboidExactlyOnce) {
   auto workload = OverlapWorkload();
   ASSERT_TRUE(workload.ok()) << workload.status();
-  for (CubeAlgorithm algo : GlobalCuboidExecutorRegistry().Algorithms()) {
+  for (CubeAlgorithm algo : kAllCubeAlgorithms) {
     CubePlan plan =
         BuildCubePlan(algo, workload->lattice, workload->properties);
     EXPECT_EQ(plan.algorithm, algo);
@@ -274,7 +241,7 @@ TEST(CubePlanTest, UnsafeStepsTrackTheUnprovenAssumptions) {
 TEST(CubePlanTest, DependenciesRespectTaskNumberingForEveryVariant) {
   auto workload = SummarizableWorkload();
   ASSERT_TRUE(workload.ok()) << workload.status();
-  for (CubeAlgorithm algo : GlobalCuboidExecutorRegistry().Algorithms()) {
+  for (CubeAlgorithm algo : kAllCubeAlgorithms) {
     CubePlan plan =
         BuildCubePlan(algo, workload->lattice, workload->properties);
     std::vector<std::vector<size_t>> deps = PlanStepDependencies(plan);
@@ -334,7 +301,7 @@ TEST(CubePlanTest, SharedSortStepsDependOnTheirPipes) {
 
 // --- Cross-algorithm conformance harness ---
 //
-// Sweeps every registered executor (no hard-coded algorithm list)
+// Sweeps every variant (kAllCubeAlgorithms, no hand-written list)
 // against the reference on an overlap workload and a fully
 // summarizable one. The plan's own safety annotation decides whether
 // cell-exact agreement is required: a plan with zero unsafe steps
@@ -349,7 +316,7 @@ void RunConformanceSweep(const Workload& workload) {
                                workload.lattice, options);
   ASSERT_TRUE(reference.ok()) << reference.status();
 
-  for (CubeAlgorithm algo : GlobalCuboidExecutorRegistry().Algorithms()) {
+  for (CubeAlgorithm algo : kAllCubeAlgorithms) {
     CubePlan plan =
         BuildCubePlan(algo, workload.lattice, workload.properties);
     auto cube =

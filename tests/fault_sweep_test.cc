@@ -26,6 +26,7 @@
 #include "util/fault_env.h"
 #include "util/hash.h"
 #include "util/memory_budget.h"
+#include "util/metrics.h"
 #include "x3/engine.h"
 #include "xdb/database.h"
 
@@ -92,7 +93,7 @@ WorkloadResult RunWorkload(Env* env, const std::string& xml_path,
     copts.compress_spill = compress;
     X3_ASSIGN_OR_RETURN(X3ExecutionResult exec,
                         engine.Execute(kQuery, CubeAlgorithm::kTD, copts));
-    result.spilled_runs = exec.stats.spilled_runs;
+    result.spilled_runs = ctx.costs().spilled_runs.value();
 
     X3_RETURN_IF_ERROR(
         exec.cube.WriteCsv(csv_path, exec.lattice, exec.facts, env));
@@ -757,6 +758,32 @@ TEST_F(ServerFaultSweepTest, SpillFaultsFailCleanlyAndSessionStaysLive) {
     EXPECT_EQ(server->budget()->used(), 0u) << label;
     if (::testing::Test::HasFatalFailure()) return;
   }
+}
+
+TEST_F(ServerFaultSweepTest, ServedMissSpillBytesHaveOneSource) {
+  // A served full-cube miss under the sweep's tight budget spills. The
+  // query log, the process-wide sort metric and the per-stage EXPLAIN
+  // bytes are three views of one count and must agree exactly.
+  Counter* spill_metric = MetricRegistry::Global().GetCounter(
+      "x3_sort_spill_bytes_total", "Bytes written to sort spill runs");
+  const uint64_t metric_before = spill_metric->value();
+  auto server = MakeServer(Env::Default());
+  ServerRequest request;
+  request.query = query_;
+  request.algorithm = CubeAlgorithm::kTD;
+  auto answer = server->Execute(request);
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  EXPECT_TRUE(answer->computed);
+
+  std::vector<QueryLogRecord> records = server->query_log().Snapshot();
+  ASSERT_EQ(records.size(), 1u);
+  const QueryLogRecord& record = records[0];
+  uint64_t stage_bytes = 0;
+  for (const QueryStageMs& stage : record.stages) stage_bytes += stage.bytes;
+  EXPECT_GT(record.spill_bytes, 0u) << "the miss must spill";
+  EXPECT_EQ(record.spill_bytes, spill_metric->value() - metric_before);
+  EXPECT_EQ(record.spill_bytes, stage_bytes);
+  EXPECT_EQ(server->budget()->used(), 0u);
 }
 
 }  // namespace

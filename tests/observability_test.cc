@@ -681,19 +681,12 @@ TEST(EngineMetricsTest, MetricsAreDeterministicAcrossIdenticalRuns) {
 TEST(ExplainAnalyzeTest, RendersActualsForEveryAlgorithmVariant) {
   auto workload = BuildDblpWorkload(200);
   ASSERT_TRUE(workload.ok()) << workload.status();
-  const CubeAlgorithm kAll[] = {
-      CubeAlgorithm::kReference, CubeAlgorithm::kCounter,
-      CubeAlgorithm::kBUC,       CubeAlgorithm::kBUCOpt,
-      CubeAlgorithm::kBUCCust,   CubeAlgorithm::kTD,
-      CubeAlgorithm::kTDOpt,     CubeAlgorithm::kTDOptAll,
-      CubeAlgorithm::kTDCust};
-  for (CubeAlgorithm algo : kAll) {
+  for (CubeAlgorithm algo : kAllCubeAlgorithms) {
     SCOPED_TRACE(CubeAlgorithmToString(algo));
     CubeComputeOptions options;
     options.properties = &workload->properties;
-    CubeComputeStats stats;
     auto text = ExplainAnalyzeCube(algo, workload->facts, workload->lattice,
-                                   options, &stats);
+                                   options);
     ASSERT_TRUE(text.ok()) << text.status();
     // Header carries the run-wide actuals...
     EXPECT_NE(text->find("compute "), std::string::npos) << *text;

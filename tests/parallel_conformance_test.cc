@@ -1,8 +1,9 @@
 // Randomized differential test for the parallel cube executor: every
-// registered algorithm, run at parallelism 1 (the sequential
-// reference), 2 and the hardware concurrency, must produce cell-exact
-// identical cubes — including the UNSAFE variants, whose (wrong under
-// violated assumptions) output must still be *deterministically* wrong.
+// algorithm, run at parallelism 1 (the sequential reference), 2 and
+// the hardware concurrency, must produce cell-exact identical cubes
+// and the same cost counts (COUNTER's batching excepted) — including
+// the UNSAFE variants, whose (wrong under violated assumptions) output
+// must still be *deterministically* wrong.
 // The workloads are seeded Treebank- and DBLP-shaped generations
 // spanning the summarizability quadrants, plus iceberg thresholds and
 // mid-flight cancellation at parallelism 4. Runs in the tsan CI lane.
@@ -14,7 +15,6 @@
 #include <vector>
 
 #include "cube/algorithm.h"
-#include "cube/executor.h"
 #include "gen/workload.h"
 #include "storage/temp_file.h"
 #include "util/exec.h"
@@ -74,10 +74,22 @@ CubeComputeOptions BaseOptions(const Workload& workload,
   return options;
 }
 
+/// The cost counts a run's parallelism must not change: each is a sum
+/// over the plan's tasks, and the tasks are the same at every level.
+/// Spills are left out because the budget is unlimited here. COUNTER
+/// is left out by the caller: it splits its cuboids into one batch per
+/// worker, so its pass and scan counts follow the parallelism.
+std::vector<uint64_t> ParallelInvariantCosts(const ExecutionContext& ctx) {
+  const ExecutionCosts& c = ctx.costs();
+  return {c.base_scans.value(), c.sorts.value(),      c.records_sorted.value(),
+          c.rollups.value(),    c.partitions.value(), c.partition_rows.value()};
+}
+
 /// The core differential check: for one workload and one algorithm,
-/// every parallel run must equal the sequential run cell-for-cell, and
-/// end with the budget fully released. `min_count` additionally sweeps
-/// the iceberg filter through the parallel path.
+/// every parallel run must equal the sequential run cell-for-cell, with
+/// the same cost counts (COUNTER excepted), and end with the budget
+/// fully released. `min_count` additionally sweeps the iceberg filter
+/// through the parallel path.
 void ExpectParallelMatchesSequential(const Workload& workload,
                                      CubeAlgorithm algo, int64_t min_count,
                                      const std::string& label) {
@@ -91,6 +103,7 @@ void ExpectParallelMatchesSequential(const Workload& workload,
       ComputeCube(algo, workload.facts, workload.lattice, options);
   ASSERT_TRUE(sequential.ok()) << label << ": " << sequential.status();
   EXPECT_EQ(seq_budget.used(), 0u) << label;
+  EXPECT_GT(seq_ctx.costs().base_scans.value(), 0u) << label;
 
   for (size_t parallelism : ParallelismLevels()) {
     if (parallelism == 1) continue;  // that IS the sequential run
@@ -108,6 +121,12 @@ void ExpectParallelMatchesSequential(const Workload& workload,
     std::string diff;
     EXPECT_TRUE(sequential->Equals(*parallel, &diff))
         << label << " parallelism " << parallelism << ": " << diff;
+    if (algo != CubeAlgorithm::kCounter) {
+      EXPECT_EQ(ParallelInvariantCosts(ctx), ParallelInvariantCosts(seq_ctx))
+          << label << " parallelism " << parallelism
+          << ": {base scans, sorts, records sorted, roll-ups, partitions, "
+             "partition rows}";
+    }
     EXPECT_EQ(budget.used(), 0u)
         << label << " parallelism " << parallelism;
   }
@@ -117,7 +136,7 @@ TEST(ParallelConformanceTest, RandomTreebankWorkloadsAllVariantsAllLevels) {
   for (const RandomSetting& rs : RandomTreebankSettings(20260805, 3)) {
     auto workload = BuildTreebankWorkload(rs.setting);
     ASSERT_TRUE(workload.ok()) << rs.name << ": " << workload.status();
-    for (CubeAlgorithm algo : GlobalCuboidExecutorRegistry().Algorithms()) {
+    for (CubeAlgorithm algo : kAllCubeAlgorithms) {
       ExpectParallelMatchesSequential(
           *workload, algo, /*min_count=*/0,
           rs.name + "/" + CubeAlgorithmToString(algo));
@@ -128,7 +147,7 @@ TEST(ParallelConformanceTest, RandomTreebankWorkloadsAllVariantsAllLevels) {
 TEST(ParallelConformanceTest, DblpWorkloadAllVariantsAllLevels) {
   auto workload = BuildDblpWorkload(/*num_articles=*/250, /*seed=*/17);
   ASSERT_TRUE(workload.ok()) << workload.status();
-  for (CubeAlgorithm algo : GlobalCuboidExecutorRegistry().Algorithms()) {
+  for (CubeAlgorithm algo : kAllCubeAlgorithms) {
     ExpectParallelMatchesSequential(
         *workload, algo, /*min_count=*/0,
         std::string("dblp/") + CubeAlgorithmToString(algo));
@@ -154,7 +173,7 @@ TEST(ParallelConformanceTest, SafeVariantsAlsoMatchTheReferenceInParallel) {
                   workload->lattice, BaseOptions(*workload, &ref_ctx));
   ASSERT_TRUE(reference.ok()) << reference.status();
 
-  for (CubeAlgorithm algo : GlobalCuboidExecutorRegistry().Algorithms()) {
+  for (CubeAlgorithm algo : kAllCubeAlgorithms) {
     CubePlan plan =
         BuildCubePlan(algo, workload->lattice, workload->properties);
     if (plan.unsafe_steps != 0) continue;
@@ -190,7 +209,7 @@ TEST(ParallelConformanceTest, CompressedSpillRunsStayCellExact) {
       std::max<size_t>(workload->facts.ApproxBytes() / 4, 16 * 1024);
 
   uint64_t compressed_spill_bytes = 0;
-  for (CubeAlgorithm algo : GlobalCuboidExecutorRegistry().Algorithms()) {
+  for (CubeAlgorithm algo : kAllCubeAlgorithms) {
     const std::string name = CubeAlgorithmToString(algo);
     MemoryBudget plain_budget(budget_bytes);
     TempFileManager plain_temp;
@@ -208,9 +227,8 @@ TEST(ParallelConformanceTest, CompressedSpillRunsStayCellExact) {
       CubeComputeOptions options = BaseOptions(*workload, &ctx);
       options.parallelism = parallelism;
       options.compress_spill = true;
-      CubeComputeStats stats;
-      auto compressed = ComputeCube(algo, workload->facts, workload->lattice,
-                                    options, &stats);
+      auto compressed =
+          ComputeCube(algo, workload->facts, workload->lattice, options);
       ASSERT_TRUE(compressed.ok())
           << name << " parallelism " << parallelism << ": "
           << compressed.status();
@@ -218,7 +236,7 @@ TEST(ParallelConformanceTest, CompressedSpillRunsStayCellExact) {
       EXPECT_TRUE(uncompressed->Equals(*compressed, &diff))
           << name << " parallelism " << parallelism << ": " << diff;
       EXPECT_EQ(budget.used(), 0u) << name;
-      compressed_spill_bytes += stats.spill_bytes;
+      compressed_spill_bytes += ctx.costs().spill_bytes.value();
     }
   }
   // The sweep is vacuous unless some variant actually spilled
@@ -237,7 +255,7 @@ TEST(ParallelConformanceTest, IcebergThresholdsSurviveParallelism) {
   auto workload = BuildTreebankWorkload(setting);
   ASSERT_TRUE(workload.ok()) << workload.status();
   for (int64_t min_count : {int64_t{2}, int64_t{5}}) {
-    for (CubeAlgorithm algo : GlobalCuboidExecutorRegistry().Algorithms()) {
+    for (CubeAlgorithm algo : kAllCubeAlgorithms) {
       ExpectParallelMatchesSequential(
           *workload, algo, min_count,
           std::string("iceberg/") + CubeAlgorithmToString(algo) + "/min=" +

@@ -866,8 +866,14 @@ TEST_F(ServerWriteTest, PostCommitQueriesSeeTheBatchExactly) {
   X3Server server(db_.get(), {});
   auto warm = server.Execute(WriteShapeRequest());
   ASSERT_TRUE(warm.ok()) << warm.status();
+  // The WAL owns the commit count: one per committed batch, however many
+  // layers the commit passes through.
+  Counter* commits = MetricRegistry::Global().GetCounter(
+      "x3_wal_commits_total", "Transactions committed through the WAL");
+  const uint64_t commits_before = commits->value();
 
-  for (size_t round = 0; round < 3; ++round) {
+  constexpr size_t kRounds = 3;
+  for (size_t round = 0; round < kRounds; ++round) {
     auto result = server.CommitDocuments(MakeBatch(round));
     ASSERT_TRUE(result.ok()) << result.status();
     // The warm shape's views were maintained, not dropped: the write
@@ -886,6 +892,7 @@ TEST_F(ServerWriteTest, PostCommitQueriesSeeTheBatchExactly) {
     ExpectAnswerMatchesDatabase(db_.get(), *answer,
                                 "round " + std::to_string(round));
   }
+  EXPECT_EQ(commits->value() - commits_before, kRounds);
   EXPECT_EQ(server.budget()->used(), 0u);
 }
 

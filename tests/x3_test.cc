@@ -395,7 +395,7 @@ TEST(EngineTest, BudgetChargedForMaterializedFacts) {
   // The materialized fact table is charged against the budget for the
   // duration of the computation, so peak memory can never understate
   // the input's resident size.
-  EXPECT_GE(result->stats.peak_memory, result->facts.ApproxBytes());
+  EXPECT_GE(budget.peak(), result->facts.ApproxBytes());
   EXPECT_GT(result->facts.ApproxBytes(), 0u);
   // ...and the charge is released once execution finishes.
   EXPECT_EQ(budget.used(), 0u);
