@@ -116,12 +116,6 @@ inline void RunCubeBenchmark(benchmark::State& state, CubeAlgorithm algo,
     options.properties = &workload.properties;
     options.exec = &ctx;
     options.parallelism = parallelism;
-    // X3_BENCH_COMPRESS_SPILL=1 runs the TD family with block-compressed
-    // spill runs, so the capture can record the on-disk spill bytes the
-    // codec actually achieves (results are bit-identical either way).
-    if (const char* env = std::getenv("X3_BENCH_COMPRESS_SPILL")) {
-      options.compress_spill = std::atoi(env) != 0;
-    }
     auto cube = ComputeCube(algo, workload.facts, workload.lattice, options);
     X3_CHECK(cube.ok()) << cube.status();
     passes = ctx.costs().passes.value();

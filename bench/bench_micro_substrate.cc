@@ -159,11 +159,9 @@ void BM_ExternalSort(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     TempFileManager temp;
-    MemoryBudget budget(external ? 64 * 1024 : 0);
-    ExternalSorter::Options options;
-    options.budget = external ? &budget : nullptr;
-    options.temp_files = &temp;
-    ExternalSorter sorter(options);
+    MemoryBudget budget(external ? 64 * 1024 : 0);  // 0 = unlimited
+    ExecutionContext ctx({&budget, &temp, nullptr, std::nullopt});
+    ExternalSorter sorter(&ctx);
     Random rng(7);
     state.ResumeTiming();
     for (size_t i = 0; i < records; ++i) {

@@ -14,11 +14,8 @@ row-major -> columnar FactTable refactor).
 
 Commands:
   capture  --build-dir DIR --out FILE --side {before,after} --label TXT
-           [--trees N] [--compress-spill] [--min-time T]
+           [--trees N] [--min-time T]
       Runs the benchmarks and writes/updates one side of the snapshot.
-      --compress-spill runs the TD family with block-compressed spill
-      runs; the flag is recorded in the side so `check` replays the
-      same configuration.
   check    --baseline FILE --build-dir DIR [--tolerance PCT] [--min-time T]
       CI regression gate: re-runs the benchmarks at the scale recorded
       in the baseline's `after` (or only) side and fails if any
@@ -80,8 +77,7 @@ DELTA_PATHS = ["DeltaMaintain", "FullRematerialize", "FullRecomputeTD"]
 DELTA_DEFAULT_TREES = 2000
 
 
-def run_figure(build_dir, figure, trees, budget_factor, compress_spill,
-               min_time):
+def run_figure(build_dir, figure, trees, budget_factor, min_time):
     """Runs one figure binary, returns {benchmark_name: metrics dict}."""
     binary = os.path.join(build_dir, "bench", BINARY[figure])
     if not os.path.exists(binary):
@@ -91,7 +87,6 @@ def run_figure(build_dir, figure, trees, budget_factor, compress_spill,
     env = dict(os.environ)
     env["X3_BENCH_TREES"] = str(trees)
     env["X3_BENCH_BUDGET_FACTOR"] = repr(budget_factor)
-    env["X3_BENCH_COMPRESS_SPILL"] = "1" if compress_spill else "0"
     try:
         subprocess.run(
             [binary, f"--benchmark_min_time={min_time}",
@@ -142,16 +137,15 @@ def git_commit():
         return "unknown"
 
 
-def capture_side(build_dir, trees, compress_spill, min_time):
+def capture_side(build_dir, trees, min_time):
     figures = {}
     for figure in FIGURES:
         figures[figure] = {}
         for config, factor in CONFIGS.items():
             print(f"  running {figure} ({config}, factor {factor}, "
-                  f"{trees} trees, compress_spill={compress_spill})...",
-                  flush=True)
+                  f"{trees} trees)...", flush=True)
             figures[figure][config] = run_figure(
-                build_dir, figure, trees, factor, compress_spill, min_time)
+                build_dir, figure, trees, factor, min_time)
     return figures
 
 
@@ -167,9 +161,7 @@ def cmd_capture(args):
     side = {
         "label": args.label,
         "commit": git_commit(),
-        "compress_spill": args.compress_spill,
-        "figures": capture_side(args.build_dir, args.trees,
-                                args.compress_spill, args.min_time),
+        "figures": capture_side(args.build_dir, args.trees, args.min_time),
     }
     side["summary"] = summarize(side["figures"])
     snapshot[args.side] = side
@@ -188,11 +180,9 @@ def cmd_check(args):
     trees = snapshot["trees"]
     tolerance = 1.0 + args.tolerance / 100.0
     slack_kb = 16.0  # absolute slack so near-zero baselines don't gate noise
-    compress_spill = side.get("compress_spill", False)
     print(f"re-running capture at trees={trees} against "
           f"'{side['label']}' ({side['commit']})")
-    current = capture_side(args.build_dir, trees, compress_spill,
-                           args.min_time)
+    current = capture_side(args.build_dir, trees, args.min_time)
     failures = []
     wall_base = 0.0
     wall_now = 0.0
@@ -433,9 +423,6 @@ def main():
     p.add_argument("--side", choices=["before", "after"], required=True)
     p.add_argument("--label", required=True)
     p.add_argument("--trees", type=int, default=DEFAULT_TREES)
-    p.add_argument("--compress-spill", action="store_true",
-                   help="run the TD family with block-compressed spill "
-                        "runs (recorded in the side; check replays it)")
     add_min_time(p)
     p.set_defaults(func=cmd_capture)
 

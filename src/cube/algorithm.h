@@ -86,9 +86,6 @@ struct CubeComputeOptions {
   /// aggregates are commutative). The bottom-up family executes its
   /// single recursive partition walk sequentially regardless.
   size_t parallelism = 1;
-  /// Block-compress sort spill runs (TD family). Cuts spill bytes at
-  /// some CPU cost; results are bit-identical either way.
-  bool compress_spill = false;
 };
 
 /// Computes the full cube of `facts` over `lattice` with `algo`.

@@ -31,8 +31,7 @@ Result<bool> CounterPass(const FactTable& facts, const CubeLattice& lattice,
   ctx->costs().passes.Add();
   ctx->costs().base_scans.Add();
   size_t reserved = 0;
-  std::vector<std::unordered_map<GroupKey, AggregateState>> counters(
-      batch.size());
+  std::vector<CellMap> counters(batch.size());
   std::vector<GroupWalk> walks;
   walks.reserve(batch.size());
   for (CuboidId cuboid : batch) {

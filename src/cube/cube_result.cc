@@ -118,17 +118,15 @@ XmlDocument CubeResult::ToXml(const CubeLattice& lattice,
   return XmlDocument(std::move(root));
 }
 
-void CubeResult::ApplyIcebergFilter(int64_t min_count) {
+void ApplyIcebergFilter(CellMap* cells, int64_t min_count) {
   if (min_count <= 1) return;
-  for (auto& map : cells_) {
-    for (auto it = map.begin(); it != map.end();) {
-      if (it->second.count < min_count) {
-        it = map.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
+  std::erase_if(*cells, [&](const CellMap::value_type& cell) {
+    return cell.second.count < min_count;
+  });
+}
+
+void CubeResult::ApplyIcebergFilter(int64_t min_count) {
+  for (CellMap& cells : cells_) x3::ApplyIcebergFilter(&cells, min_count);
 }
 
 Status CubeResult::WriteCsv(const std::string& path,

@@ -24,6 +24,14 @@ using GroupKey = std::string;
 GroupKey PackGroupKey(std::span<const ValueId> values);
 std::vector<ValueId> UnpackGroupKey(const GroupKey& key);
 
+/// Cells of one cuboid, keyed by packed group key.
+using CellMap = std::unordered_map<GroupKey, AggregateState>;
+
+/// Drops every cell whose distinct-fact count is below `min_count`
+/// (the iceberg filter, HAVING COUNT >= min_count). No-op for
+/// min_count <= 1.
+void ApplyIcebergFilter(CellMap* cells, int64_t min_count);
+
 /// The computed cube: one cell map per cuboid of the lattice.
 ///
 /// Not internally synchronized, but safe under the parallel executor's
@@ -51,13 +59,8 @@ class CubeResult {
   /// Read access; nullptr when the cell does not exist.
   const AggregateState* FindCell(CuboidId cuboid, const GroupKey& key) const;
 
-  const std::unordered_map<GroupKey, AggregateState>& cuboid(
-      CuboidId id) const {
-    return cells_[id];
-  }
-  std::unordered_map<GroupKey, AggregateState>* mutable_cuboid(CuboidId id) {
-    return &cells_[id];
-  }
+  const CellMap& cuboid(CuboidId id) const { return cells_[id]; }
+  CellMap* mutable_cuboid(CuboidId id) { return &cells_[id]; }
 
   /// Total number of non-empty cells across all cuboids (the paper's
   /// "cube result size").
@@ -74,8 +77,7 @@ class CubeResult {
   Status WriteCsv(const std::string& path, const CubeLattice& lattice,
                   const FactTable& facts, Env* env = nullptr) const;
 
-  /// Drops every cell whose distinct-fact count is below `min_count`
-  /// (iceberg filter). No-op for min_count <= 1.
+  /// ApplyIcebergFilter over every cuboid.
   void ApplyIcebergFilter(int64_t min_count);
 
   /// Renders the cube as an XML document:
@@ -89,7 +91,7 @@ class CubeResult {
 
  private:
   AggregateFunction fn_;
-  std::vector<std::unordered_map<GroupKey, AggregateState>> cells_;
+  std::vector<CellMap> cells_;
 };
 
 }  // namespace x3

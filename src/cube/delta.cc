@@ -1,7 +1,5 @@
 #include "cube/delta.h"
 
-#include <algorithm>
-
 #include "cube/plan.h"
 #include "util/metrics.h"
 #include "util/string_util.h"
@@ -61,13 +59,11 @@ DeltaPlan PlanViewDeltas(const CubeViewStore& store, const FactTable& facts,
   plan.first_new_fact = first_new_fact;
   plan.new_facts = facts.size() - first_new_fact;
 
-  std::vector<CuboidId> ids = store.MaterializedIds();
-  std::sort(ids.begin(), ids.end());
   std::vector<ValueId> admitted;
-  for (CuboidId id : ids) {
+  for (const auto& [id, with_fact_ids] : store.MaterializedViews()) {
     ViewDeltaStep step;
     step.cuboid = id;
-    if (store.ViewHasFactIds(id)) {
+    if (with_fact_ids) {
       // Fact ids repair any disjointness/coverage violation at roll-up
       // time, so folding new facts in is unconditionally exact.
       step.action = DeltaAction::kMergeWithIds;
@@ -144,7 +140,11 @@ Status ApplyViewDeltas(const CubeViewStore& source, CubeViewStore* target,
       continue;
     }
     if (target != &source) {
-      X3_RETURN_IF_ERROR(target->CloneViewFrom(source, step.cuboid));
+      // A reader's cache insert may have evicted the view since the plan
+      // was made; the new store then simply lacks it.
+      Status cloned = target->CloneViewFrom(source, step.cuboid);
+      if (cloned.code() == StatusCode::kNotFound) continue;
+      X3_RETURN_IF_ERROR(cloned);
     }
     X3_RETURN_IF_ERROR(target->ApplyDelta(step.cuboid, plan.first_new_fact,
                                           &st->cells_touched));

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "relax/cube_lattice.h"
-#include "util/result.h"
 #include "xdb/database.h"
 #include "xdb/value_dictionary.h"
 
@@ -146,12 +145,6 @@ class FactTable {
 
   /// Rough in-memory footprint, for budget-aware callers.
   size_t ApproxBytes() const;
-
-  // --- Persistence (binary, versioned) ---
-
-  /// `env` = nullptr uses Env::Default().
-  Status Save(const std::string& path, Env* env = nullptr) const;
-  static Result<FactTable> Load(const std::string& path, Env* env = nullptr);
 
  private:
   size_t num_axes_;

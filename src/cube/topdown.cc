@@ -28,16 +28,6 @@ int64_t ReadMeasure(const char* p) {
   return static_cast<int64_t>(u);
 }
 
-ExternalSorter::Options SorterOptions(const CubeComputeOptions& options,
-                                      ExecutionContext* ctx) {
-  ExternalSorter::Options sort_options;
-  sort_options.budget = ctx->budget();
-  sort_options.temp_files = ctx->temp_files();
-  sort_options.exec = ctx;
-  sort_options.compress_spill = options.compress_spill;
-  return sort_options;
-}
-
 /// Finishes `sorter` and counts the sort into ctx->costs(); its spill
 /// bytes are also `stage`'s I/O detail for EXPLAIN ANALYZE.
 Result<std::unique_ptr<SortedStream>> FinishSort(ExternalSorter* sorter,
@@ -61,8 +51,7 @@ Result<std::unique_ptr<SortedStream>> FinishSort(ExternalSorter* sorter,
 /// the sorted stream is aggregated by tuple prefix with adjacent
 /// (tuple, fact) duplicates collapsed.
 Status CuboidFromBase(const FactTable& facts, const CubeLattice& lattice,
-                      CuboidId cuboid, bool with_ids,
-                      const CubeComputeOptions& options, ExecutionContext* ctx,
+                      CuboidId cuboid, bool with_ids, ExecutionContext* ctx,
                       CubeResult* result) {
   ScopedStageTimer stage(
       ctx->stats(),
@@ -70,7 +59,7 @@ Status CuboidFromBase(const FactTable& facts, const CubeLattice& lattice,
       ctx->tracer());
   GroupWalk walk(lattice, cuboid, UncoveredAxis::kDropFact);
   const size_t key_len = walk.key_size();
-  ExternalSorter sorter(SorterOptions(options, ctx));
+  ExternalSorter sorter(ctx);
   ctx->costs().base_scans.Add();
 
   std::string record;
@@ -130,11 +119,10 @@ Status CuboidFromBase(const FactTable& facts, const CubeLattice& lattice,
 /// for every covered cuboid. Correct only under disjointness (the
 /// first admitted value is THE value).
 Status RunPipe(const FactTable& facts, const CubePlanPipe& pipe,
-               size_t pipe_index, const CubeComputeOptions& options,
-               ExecutionContext* ctx, CubeResult* result) {
+               size_t pipe_index, ExecutionContext* ctx, CubeResult* result) {
   ScopedStageTimer stage(ctx->stats(), StringPrintf("pipe/%zu", pipe_index),
                          ctx->tracer());
-  ExternalSorter sorter(SorterOptions(options, ctx));
+  ExternalSorter sorter(ctx);
   ctx->costs().base_scans.Add();
   // Columnar scan state: one (mask column, value column, offsets, state)
   // tuple per sort-order entry, so the record-building loop below walks
@@ -305,7 +293,7 @@ Result<CubeResult> ExecuteTopDown(const CubePlan& plan,
   for (size_t p = 0; p < plan.pipes.size(); ++p) {
     tasks.push_back(PlanTask{
         [&, p]() {
-          return RunPipe(facts, plan.pipes[p], p, options, ctx, &result);
+          return RunPipe(facts, plan.pipes[p], p, ctx, &result);
         },
         deps[p]});
   }
@@ -319,8 +307,7 @@ Result<CubeResult> ExecuteTopDown(const CubePlan& plan,
         task.run = [&, step]() {
           return CuboidFromBase(
               facts, lattice, step.cuboid,
-              step.kind == CuboidPlanStep::Kind::kBaseWithIds, options, ctx,
-              &result);
+              step.kind == CuboidPlanStep::Kind::kBaseWithIds, ctx, &result);
         };
         break;
       case CuboidPlanStep::Kind::kRollup:

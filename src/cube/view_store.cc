@@ -45,10 +45,9 @@ Status CubeViewStore::FoldFacts(CuboidId cuboid, View* view,
   return Status::OK();
 }
 
-Status CubeViewStore::Materialize(
-    const std::vector<CuboidId>& cuboids, bool with_fact_ids,
-    ExecutionContext* ctx,
-    std::unordered_map<GroupKey, AggregateState>* answer) {
+Status CubeViewStore::Materialize(const std::vector<CuboidId>& cuboids,
+                                  bool with_fact_ids, ExecutionContext* ctx,
+                                  CellMap* answer) {
   std::vector<View> built(cuboids.size());
   for (size_t v = 0; v < cuboids.size(); ++v) {
     View& view = built[v];
@@ -101,18 +100,18 @@ size_t CubeViewStore::ViewApproxBytes(CuboidId cuboid) const {
   return it == views_.end() ? 0 : ViewBytesLocked(it->second);
 }
 
-std::vector<CuboidId> CubeViewStore::MaterializedIds() const {
-  MutexLock lock(&mu_);
-  std::vector<CuboidId> ids;
-  ids.reserve(views_.size());
-  for (const auto& [id, view] : views_) ids.push_back(id);
-  return ids;
-}
-
-bool CubeViewStore::ViewHasFactIds(CuboidId cuboid) const {
-  MutexLock lock(&mu_);
-  auto it = views_.find(cuboid);
-  return it != views_.end() && it->second.with_fact_ids;
+std::vector<std::pair<CuboidId, bool>> CubeViewStore::MaterializedViews()
+    const {
+  std::vector<std::pair<CuboidId, bool>> views;
+  {
+    MutexLock lock(&mu_);
+    views.reserve(views_.size());
+    for (const auto& [id, view] : views_) {
+      views.emplace_back(id, view.with_fact_ids);
+    }
+  }
+  std::sort(views.begin(), views.end());
+  return views;
 }
 
 Status CubeViewStore::CloneViewFrom(const CubeViewStore& source,
@@ -178,10 +177,10 @@ bool CubeViewStore::IsLndDescendant(const View& view, CuboidId target,
   return true;
 }
 
-std::unordered_map<GroupKey, AggregateState> CubeViewStore::Project(
-    const View& view, const std::vector<size_t>& kept,
-    bool needs_ids) const {
-  std::unordered_map<GroupKey, AggregateState> out;
+CellMap CubeViewStore::Project(const View& view,
+                               const std::vector<size_t>& kept,
+                               bool needs_ids) const {
+  CellMap out;
   std::unordered_map<GroupKey, std::vector<const ViewCell*>> groups;
   for (const auto& [key, cell] : view.cells) {
     GroupKey target_key;
@@ -226,10 +225,9 @@ std::unordered_map<GroupKey, AggregateState> CubeViewStore::Project(
   return out;
 }
 
-Result<std::unordered_map<GroupKey, AggregateState>>
-CubeViewStore::AnswerFromViews(CuboidId target, AggregateFunction fn,
-                               const LatticeProperties* properties,
-                               ViewComputeStats* stats) const {
+Result<CellMap> CubeViewStore::AnswerFromViews(
+    CuboidId target, AggregateFunction fn,
+    const LatticeProperties* properties, ViewComputeStats* stats) const {
   (void)fn;  // all components are maintained in AggregateState
   ViewComputeStats local;
   ViewComputeStats* st = stats != nullptr ? stats : &local;
@@ -287,13 +285,12 @@ CubeViewStore::AnswerFromViews(CuboidId target, AggregateFunction fn,
                           std::to_string(target));
 }
 
-Result<std::unordered_map<GroupKey, AggregateState>> CubeViewStore::Answer(
+Result<CellMap> CubeViewStore::Answer(
     CuboidId target, AggregateFunction fn,
     const LatticeProperties* properties, ViewComputeStats* stats) const {
   ViewComputeStats local;
   ViewComputeStats* st = stats != nullptr ? stats : &local;
-  Result<std::unordered_map<GroupKey, AggregateState>> from_views =
-      AnswerFromViews(target, fn, properties, st);
+  Result<CellMap> from_views = AnswerFromViews(target, fn, properties, st);
   if (from_views.ok() ||
       from_views.status().code() != StatusCode::kNotFound) {
     return from_views;
@@ -302,7 +299,7 @@ Result<std::unordered_map<GroupKey, AggregateState>> CubeViewStore::Answer(
   // Fall back to the base table (unlocked: only the immutable fact
   // table and lattice are touched).
   st->strategy = ViewStrategy::kBase;
-  std::unordered_map<GroupKey, AggregateState> out;
+  CellMap out;
   GroupWalk walk(*lattice_, target, UncoveredAxis::kDropFact);
   for (size_t f = 0; f < facts_->size(); ++f) {
     const int64_t measure = facts_->measure(f);

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cube/aggregate.h"
@@ -93,8 +94,7 @@ class CubeViewStore {
   /// the view is published, so a concurrent eviction cannot empty it.
   Status Materialize(const std::vector<CuboidId>& cuboids,
                      bool with_fact_ids, ExecutionContext* ctx,
-                     std::unordered_map<GroupKey, AggregateState>* answer =
-                         nullptr) X3_EXCLUDES(mu_);
+                     CellMap* answer = nullptr) X3_EXCLUDES(mu_);
 
   /// Drops the materialized view of `cuboid`; false when it was not
   /// materialized. The serving layer's cuboid cache uses this as its
@@ -113,14 +113,13 @@ class CubeViewStore {
     return views_.size();
   }
 
-  /// Ids of the currently materialized views, unordered.
-  std::vector<CuboidId> MaterializedIds() const X3_EXCLUDES(mu_);
-
-  /// True iff `cuboid` is materialized with fact ids (false when it is
-  /// not materialized at all). Delta planning distinguishes the two:
-  /// id-carrying views can always absorb new facts, id-less views only
-  /// where summarizability still proves the merge safe.
-  bool ViewHasFactIds(CuboidId cuboid) const X3_EXCLUDES(mu_);
+  /// Each materialized view as (cuboid, carries fact ids), ascending by
+  /// cuboid, read under one lock. Delta planning needs both halves of
+  /// the pair from the same moment: id-carrying views can always absorb
+  /// new facts, id-less views only where summarizability still proves
+  /// the merge safe.
+  std::vector<std::pair<CuboidId, bool>> MaterializedViews() const
+      X3_EXCLUDES(mu_);
 
   /// Copies `cuboid`'s materialized view out of `source` into this
   /// store (replacing any existing view of the same cuboid). NotFound
@@ -150,17 +149,17 @@ class CubeViewStore {
   /// Computes the cells of `target` (no null groups — the real cuboid)
   /// using the best available strategy. `properties` may be null
   /// ("assume nothing": id-less roll-ups are never chosen).
-  Result<std::unordered_map<GroupKey, AggregateState>> Answer(
-      CuboidId target, AggregateFunction fn,
-      const LatticeProperties* properties = nullptr,
-      ViewComputeStats* stats = nullptr) const X3_EXCLUDES(mu_);
+  Result<CellMap> Answer(CuboidId target, AggregateFunction fn,
+                         const LatticeProperties* properties = nullptr,
+                         ViewComputeStats* stats = nullptr) const
+      X3_EXCLUDES(mu_);
 
   /// Answer() restricted to the materialized views: exact or roll-up
   /// strategies only, NotFound when no usable view exists. The base
   /// table is never scanned, so a NotFound caller can decide for itself
   /// how a miss is answered (the serving layer materializes the views
   /// its cache keeps and answers from them).
-  Result<std::unordered_map<GroupKey, AggregateState>> AnswerFromViews(
+  Result<CellMap> AnswerFromViews(
       CuboidId target, AggregateFunction fn,
       const LatticeProperties* properties = nullptr,
       ViewComputeStats* stats = nullptr) const X3_EXCLUDES(mu_);
@@ -201,9 +200,8 @@ class CubeViewStore {
   /// skipping cells with a null kept field; merges aggregates, or with
   /// `needs_ids` re-aggregates each target group from its cells' fact
   /// ids, every fact once. An exact projection keeps every position.
-  std::unordered_map<GroupKey, AggregateState> Project(
-      const View& view, const std::vector<size_t>& kept,
-      bool needs_ids) const;
+  CellMap Project(const View& view, const std::vector<size_t>& kept,
+                  bool needs_ids) const;
 
   /// Approximate memory of one view (caller holds mu_; the view itself
   /// is all the state touched).

@@ -684,15 +684,7 @@ Result<ServerAnswer> X3Server::RunQuery(const ServerRequest& request,
 
   inflight->stage.store("finalize", std::memory_order_relaxed);
   int64_t min_count = std::max(query.min_count, request.min_count);
-  if (min_count > 1) {
-    // Same rule as CubeResult::ApplyIcebergFilter: drop cells whose
-    // distinct-fact count is below the threshold.
-    for (auto& [id, map] : cells) {
-      for (auto it = map.begin(); it != map.end();) {
-        it = it->second.count < min_count ? map.erase(it) : std::next(it);
-      }
-    }
-  }
+  for (auto& [id, map] : cells) ApplyIcebergFilter(&map, min_count);
   answer.cuboids = std::move(cells);
   return answer;
 }
@@ -745,9 +737,11 @@ Result<bool> X3Server::MaintainShape(ShapeState* shape,
   MutexLock lock(&shape->mu);
   cache_.DropStore(old->views.get());
   shape->snapshot = next;
-  for (const ViewDeltaStep& step : plan.steps) {
-    cache_.Insert(next->views.get(), step.cuboid,
-                  next->views->ViewApproxBytes(step.cuboid));
+  // Only the views the new store holds: a merge view evicted from the
+  // old store after planning was skipped by the apply.
+  for (const auto& view : next->views->MaterializedViews()) {
+    cache_.Insert(next->views.get(), view.first,
+                  next->views->ViewApproxBytes(view.first));
   }
   return true;
 }

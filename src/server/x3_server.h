@@ -116,9 +116,6 @@ struct ServerRequest {
   double debug_hold_seconds = 0;
 };
 
-/// Cells of one cuboid, keyed by packed group key.
-using CellMap = std::unordered_map<GroupKey, AggregateState>;
-
 /// Outcome of one committed write batch (X3Server::CommitDocuments).
 struct ServerWriteResult {
   /// WAL LSN of the batch's commit record (the durability horizon the

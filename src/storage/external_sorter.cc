@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
-#include <queue>
+#include <utility>
 
+#include "storage/temp_file.h"
 #include "util/compress.h"
 #include "util/logging.h"
 #include "util/metrics.h"
@@ -34,27 +35,14 @@ Counter& MergePassesCounter() {
 Counter& SpillRawBytesCounter() {
   static Counter* c = MetricRegistry::Global().GetCounter(
       "x3_sort_spill_raw_bytes_total",
-      "Uncompressed bytes framed into compressed spill blocks");
+      "Uncompressed bytes framed into spill blocks");
   return *c;
 }
 Counter& SpillBlocksCounter() {
   static Counter* c = MetricRegistry::Global().GetCounter(
-      "x3_sort_spill_blocks_total",
-      "Blocks written to compressed spill runs");
+      "x3_sort_spill_blocks_total", "Blocks written to spill runs");
   return *c;
 }
-
-}  // namespace
-
-int BytewiseCompare(std::string_view a, std::string_view b) {
-  int c = std::memcmp(a.data(), b.data(), std::min(a.size(), b.size()));
-  if (c != 0) return c;
-  if (a.size() < b.size()) return -1;
-  if (a.size() > b.size()) return 1;
-  return 0;
-}
-
-namespace {
 
 /// Fixed per-record bookkeeping charge (std::string header + vector slot
 /// + allocator slack), in addition to payload bytes.
@@ -69,39 +57,28 @@ constexpr size_t kSpillBlockSize = 64 * 1024;
 /// a corrupt header must not drive a multi-gigabyte allocation.
 constexpr uint32_t kMaxBlockRawSize = 1u << 30;
 
-/// Writes length-prefixed records to a run file through the Env.
-/// Compressed mode frames them into blocks instead:
+/// Writes records to a run file through the Env, framed into blocks:
 ///   [raw u32][stored u32][payload ...]
 /// with stored < raw for a compressed payload and stored == raw for the
-/// stored-raw fallback (incompressible block). Field encoding is
-/// native-endian, matching the record length prefixes — runs never
-/// leave the machine that wrote them.
+/// stored-raw fallback (incompressible block). Inside a block each
+/// record is [len u32][bytes]. Field encoding is native-endian — runs
+/// never leave the machine that wrote them.
 class RunWriter {
  public:
-  explicit RunWriter(bool compress) : compress_(compress) {}
-
   Status Open(Env* env, const std::string& path) {
-    path_ = path;
     return writer_.Open(env, path);
   }
 
   Status Append(std::string_view record) {
     uint32_t len = static_cast<uint32_t>(record.size());
-    if (compress_) {
-      block_.append(reinterpret_cast<const char*>(&len), sizeof(len));
-      block_.append(record);
-      if (block_.size() >= kSpillBlockSize) return FlushBlock();
-      return Status::OK();
-    }
-    X3_RETURN_IF_ERROR(writer_.Append(
-        std::string_view(reinterpret_cast<const char*>(&len), sizeof(len))));
-    if (len > 0) X3_RETURN_IF_ERROR(writer_.Append(record));
-    bytes_ += sizeof(len) + len;
+    block_.append(reinterpret_cast<const char*>(&len), sizeof(len));
+    block_.append(record);
+    if (block_.size() >= kSpillBlockSize) return FlushBlock();
     return Status::OK();
   }
 
   Status Close() {
-    if (compress_ && !block_.empty()) X3_RETURN_IF_ERROR(FlushBlock());
+    if (!block_.empty()) X3_RETURN_IF_ERROR(FlushBlock());
     return writer_.Close();
   }
 
@@ -128,55 +105,23 @@ class RunWriter {
   }
 
   SequentialFileWriter writer_;
-  std::string path_;
-  bool compress_;
   std::string block_;   // pending uncompressed block
   std::string packed_;  // reused compression output
   uint64_t bytes_ = 0;
 };
 
-/// Reads length-prefixed records back from a run file through the Env.
-/// In compressed mode, inflates one block at a time and serves records
-/// out of the inflated buffer; any malformed frame surfaces as
-/// Corruption, never a crash or over-read.
+/// Reads a block-framed run back through the Env, inflating one block
+/// at a time and serving records out of it; any malformed frame
+/// surfaces as Corruption, never a crash or over-read.
 class RunReader {
  public:
-  explicit RunReader(bool compress) : compress_(compress) {}
-
   Status Open(Env* env, const std::string& path) {
     path_ = path;
     return reader_.Open(env, path);
   }
 
-  /// Returns false at EOF.
+  /// Returns false at EOF or on error (distinguished via *status).
   bool Next(std::string* record, Status* status) {
-    if (compress_) return NextFromBlock(record, status);
-    uint32_t len = 0;
-    size_t got = 0;
-    Status s = reader_.ReadPartial(&len, sizeof(len), &got);
-    if (!s.ok()) {
-      *status = s;
-      return false;
-    }
-    if (got == 0) return false;  // clean EOF between records
-    if (got != sizeof(len)) {
-      *status =
-          Status::Corruption("truncated record header in run " + path_);
-      return false;
-    }
-    record->resize(len);
-    if (len > 0) {
-      s = reader_.Read(record->data(), len);
-      if (!s.ok()) {
-        *status = s;
-        return false;
-      }
-    }
-    return true;
-  }
-
- private:
-  bool NextFromBlock(std::string* record, Status* status) {
     if (pos_ >= block_.size()) {
       if (!LoadBlock(status)) return false;
     }
@@ -198,6 +143,7 @@ class RunReader {
     return true;
   }
 
+ private:
   /// Reads and inflates the next block. Returns false at clean EOF or
   /// on error (distinguished via *status).
   bool LoadBlock(Status* status) {
@@ -247,7 +193,6 @@ class RunReader {
 
   SequentialFileReader reader_;
   std::string path_;
-  bool compress_;
   std::string block_;    // current inflated block
   std::string payload_;  // raw on-disk payload scratch
   size_t pos_ = 0;
@@ -271,21 +216,17 @@ class VectorStream : public SortedStream {
   size_t pos_ = 0;
 };
 
-/// K-way merge over run files using a tournament heap.
+/// K-way merge over run files using a binary heap of run heads.
 class MergeStream : public SortedStream {
  public:
-  MergeStream(Env* env, std::vector<std::string> run_paths,
-              RecordComparator cmp, bool compressed)
-      : env_(env),
-        run_paths_(std::move(run_paths)),
-        cmp_(std::move(cmp)),
-        compressed_(compressed) {}
+  MergeStream(Env* env, std::vector<std::string> run_paths)
+      : env_(env), run_paths_(std::move(run_paths)) {}
 
   Status Init() {
     readers_.resize(run_paths_.size());
     heads_.resize(run_paths_.size());
     for (size_t i = 0; i < run_paths_.size(); ++i) {
-      readers_[i] = std::make_unique<RunReader>(compressed_);
+      readers_[i] = std::make_unique<RunReader>();
       X3_RETURN_IF_ERROR(readers_[i]->Open(env_, run_paths_[i]));
       Status s;
       if (readers_[i]->Next(&heads_[i], &s)) {
@@ -294,12 +235,7 @@ class MergeStream : public SortedStream {
         return s;
       }
     }
-    auto greater = [this](size_t a, size_t b) {
-      int c = cmp_(heads_[a], heads_[b]);
-      if (c != 0) return c > 0;
-      return a > b;  // deterministic tie-break on run index
-    };
-    std::make_heap(heap_.begin(), heap_.end(), greater);
+    std::make_heap(heap_.begin(), heap_.end(), HeadAfter{this});
     initialized_ = true;
     return Status::OK();
   }
@@ -307,19 +243,14 @@ class MergeStream : public SortedStream {
   bool Next(std::string* record, Status* status) override {
     X3_DCHECK(initialized_);
     if (heap_.empty()) return false;
-    auto greater = [this](size_t a, size_t b) {
-      int c = cmp_(heads_[a], heads_[b]);
-      if (c != 0) return c > 0;
-      return a > b;
-    };
-    std::pop_heap(heap_.begin(), heap_.end(), greater);
+    std::pop_heap(heap_.begin(), heap_.end(), HeadAfter{this});
     size_t idx = heap_.back();
     heap_.pop_back();
     *record = std::move(heads_[idx]);
     Status s;
     if (readers_[idx]->Next(&heads_[idx], &s)) {
       heap_.push_back(idx);
-      std::push_heap(heap_.begin(), heap_.end(), greater);
+      std::push_heap(heap_.begin(), heap_.end(), HeadAfter{this});
     } else if (!s.ok()) {
       *status = s;
       return false;
@@ -328,10 +259,18 @@ class MergeStream : public SortedStream {
   }
 
  private:
+  /// Heap order: the bytewise-smallest head on top, equal heads in run
+  /// order so the merge is deterministic.
+  struct HeadAfter {
+    const MergeStream* merge;
+    bool operator()(size_t a, size_t b) const {
+      int c = merge->heads_[a].compare(merge->heads_[b]);
+      return c != 0 ? c > 0 : a > b;
+    }
+  };
+
   Env* env_;
   std::vector<std::string> run_paths_;
-  RecordComparator cmp_;
-  bool compressed_;
   std::vector<std::unique_ptr<RunReader>> readers_;
   std::vector<std::string> heads_;
   std::vector<size_t> heap_;
@@ -340,51 +279,46 @@ class MergeStream : public SortedStream {
 
 }  // namespace
 
-ExternalSorter::ExternalSorter(Options options)
-    : options_(std::move(options)) {}
+ExternalSorter::ExternalSorter(ExecutionContext* ctx) : ctx_(ctx) {
+  MemoryBudget* budget = ctx != nullptr ? ctx->budget() : nullptr;
+  if (budget != nullptr && !budget->unlimited()) budget_ = budget;
+}
 
 ExternalSorter::~ExternalSorter() {
-  if (options_.budget != nullptr) {
-    options_.budget->Release(buffered_bytes_);
-  }
+  if (budget_ != nullptr) budget_->Release(reserved_bytes_);
 }
 
 Status ExternalSorter::Add(std::string_view record) {
   X3_CHECK(!finished_) << "Add after Finish";
   ++stats_.records;
   stats_.bytes += record.size();
-  size_t charge = record.size() + kRecordOverhead;
-  if (options_.budget != nullptr && !options_.budget->unlimited()) {
-    if (!options_.budget->WouldFit(charge) && !buffer_.empty()) {
+  if (budget_ != nullptr) {
+    size_t charge = record.size() + kRecordOverhead;
+    if (!budget_->WouldFit(charge) && !buffer_.empty()) {
       X3_RETURN_IF_ERROR(SpillBuffer());
     }
     // A single record larger than the whole budget still has to be
     // buffered; overshoot is recorded rather than failing the sort.
-    options_.budget->ForceReserve(charge);
+    budget_->ForceReserve(charge);
+    reserved_bytes_ += charge;
   }
-  buffered_bytes_ += charge;
   buffer_.emplace_back(record);
   return Status::OK();
 }
 
 Status ExternalSorter::SpillBuffer() {
-  if (options_.temp_files == nullptr) {
+  // Only a bounded budget spills, and only a context supplies one.
+  TempFileManager* temp_files = ctx_->temp_files();
+  if (temp_files == nullptr) {
     return Status::ResourceExhausted(
         "sort exceeded memory budget and no temp file manager configured");
   }
-  if (options_.exec != nullptr) {
-    X3_RETURN_IF_ERROR(options_.exec->CheckInterrupted());
-  }
-  X3_TRACE_SPAN(options_.exec != nullptr ? options_.exec->tracer()
-                                         : &Tracer::Global(),
-                "sort/spill");
-  std::sort(buffer_.begin(), buffer_.end(),
-            [this](const std::string& a, const std::string& b) {
-              return options_.comparator(a, b) < 0;
-            });
-  std::string path = options_.temp_files->NextPath("run");
-  RunWriter writer(options_.compress_spill);
-  X3_RETURN_IF_ERROR(writer.Open(options_.temp_files->env(), path));
+  X3_RETURN_IF_ERROR(ctx_->CheckInterrupted());
+  X3_TRACE_SPAN(ctx_->tracer(), "sort/spill");
+  std::sort(buffer_.begin(), buffer_.end());
+  std::string path = temp_files->NextPath("run");
+  RunWriter writer;
+  X3_RETURN_IF_ERROR(writer.Open(temp_files->env(), path));
   for (const std::string& rec : buffer_) {
     X3_RETURN_IF_ERROR(writer.Append(rec));
   }
@@ -396,38 +330,31 @@ Status ExternalSorter::SpillBuffer() {
   stats_.in_memory = false;
   runs_.push_back(path);
   buffer_.clear();
-  if (options_.budget != nullptr) options_.budget->Release(buffered_bytes_);
-  buffered_bytes_ = 0;
+  budget_->Release(std::exchange(reserved_bytes_, 0));
   return Status::OK();
 }
 
 Status ExternalSorter::CascadeMerges() {
-  while (runs_.size() > options_.merge_fanin) {
-    X3_TRACE_SPAN(options_.exec != nullptr ? options_.exec->tracer()
-                                           : &Tracer::Global(),
-                  "sort/merge-pass");
-    std::vector<std::string> group(
-        runs_.begin(),
-        runs_.begin() + static_cast<ptrdiff_t>(options_.merge_fanin));
-    runs_.erase(runs_.begin(),
-                runs_.begin() + static_cast<ptrdiff_t>(options_.merge_fanin));
-    MergeStream merge(options_.temp_files->env(), group, options_.comparator,
-                      options_.compress_spill);
+  TempFileManager* temp_files = ctx_->temp_files();
+  while (runs_.size() > kMergeFanIn) {
+    X3_TRACE_SPAN(ctx_->tracer(), "sort/merge-pass");
+    std::vector<std::string> group(runs_.begin(),
+                                   runs_.begin() + kMergeFanIn);
+    runs_.erase(runs_.begin(), runs_.begin() + kMergeFanIn);
+    MergeStream merge(temp_files->env(), group);
     X3_RETURN_IF_ERROR(merge.Init());
-    std::string out_path = options_.temp_files->NextPath("merge");
-    RunWriter writer(options_.compress_spill);
-    X3_RETURN_IF_ERROR(writer.Open(options_.temp_files->env(), out_path));
+    std::string out_path = temp_files->NextPath("merge");
+    RunWriter writer;
+    X3_RETURN_IF_ERROR(writer.Open(temp_files->env(), out_path));
     std::string rec;
     Status s;
     while (merge.Next(&rec, &s)) {
-      if (options_.exec != nullptr) {
-        X3_RETURN_IF_ERROR(options_.exec->Poll());
-      }
+      X3_RETURN_IF_ERROR(ctx_->Poll());
       X3_RETURN_IF_ERROR(writer.Append(rec));
     }
     X3_RETURN_IF_ERROR(s);
     X3_RETURN_IF_ERROR(writer.Close());
-    for (const std::string& p : group) options_.temp_files->Remove(p);
+    for (const std::string& p : group) temp_files->Remove(p);
     runs_.push_back(out_path);
     ++stats_.merge_passes;
     MergePassesCounter().Increment();
@@ -440,14 +367,8 @@ Result<std::unique_ptr<SortedStream>> ExternalSorter::Finish() {
   finished_ = true;
   if (runs_.empty()) {
     // Pure in-memory sort (quicksort).
-    std::sort(buffer_.begin(), buffer_.end(),
-              [this](const std::string& a, const std::string& b) {
-                return options_.comparator(a, b) < 0;
-              });
-    if (options_.budget != nullptr) {
-      options_.budget->Release(buffered_bytes_);
-      buffered_bytes_ = 0;
-    }
+    std::sort(buffer_.begin(), buffer_.end());
+    if (budget_ != nullptr) budget_->Release(std::exchange(reserved_bytes_, 0));
     return std::unique_ptr<SortedStream>(
         std::make_unique<VectorStream>(std::move(buffer_)));
   }
@@ -457,9 +378,8 @@ Result<std::unique_ptr<SortedStream>> ExternalSorter::Finish() {
   X3_RETURN_IF_ERROR(CascadeMerges());
   ++stats_.merge_passes;
   MergePassesCounter().Increment();
-  auto merge = std::make_unique<MergeStream>(
-      options_.temp_files->env(), runs_, options_.comparator,
-      options_.compress_spill);
+  auto merge =
+      std::make_unique<MergeStream>(ctx_->temp_files()->env(), runs_);
   X3_RETURN_IF_ERROR(merge->Init());
   return std::unique_ptr<SortedStream>(std::move(merge));
 }

@@ -2,26 +2,16 @@
 #define X3_STORAGE_EXTERNAL_SORTER_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "storage/temp_file.h"
 #include "util/exec.h"
-#include "util/memory_budget.h"
 #include "util/result.h"
 #include "util/status.h"
 
 namespace x3 {
-
-/// Orders two serialized records; returns <0, 0, >0 like memcmp.
-using RecordComparator =
-    std::function<int(std::string_view, std::string_view)>;
-
-/// Lexicographic byte order (the default).
-int BytewiseCompare(std::string_view a, std::string_view b);
 
 /// Pull-iterator over sorted records.
 class SortedStream {
@@ -43,38 +33,32 @@ struct SortStats {
   bool in_memory = true;
 };
 
-/// External merge sort over variable-length byte records.
+/// External merge sort over variable-length byte records, in unsigned
+/// bytewise order (std::string's own comparison; a proper prefix sorts
+/// first). Group keys are big-endian key fields, so this is the order
+/// the TD family aggregates by.
 ///
 /// The paper's algorithms "used the quicksort for an in-memory sort, and
 /// the mergesort for an external sort" (§4); this class is exactly that
 /// policy: records are buffered and quicksorted while they fit in the
 /// `MemoryBudget`; when the budget is exhausted the buffer is sorted and
 /// spilled as a run, and `Finish()` returns a k-way merge over the runs
-/// (cascaded into multiple passes when the run count exceeds the fan-in).
+/// (cascaded into multiple passes when there are more than kMergeFanIn).
+///
+/// Runs are block-framed: records are packed into ~64 KiB blocks, each
+/// stored as [raw u32][stored u32][payload] where stored < raw means a
+/// compressed payload and stored == raw a stored-raw fallback.
+/// SortStats::spill_bytes counts these on-disk bytes.
 class ExternalSorter {
  public:
-  struct Options {
-    /// Budget charged for buffered records; nullptr or unlimited budget
-    /// means a pure in-memory sort.
-    MemoryBudget* budget = nullptr;
-    /// Where spill runs live. Required if spilling can happen.
-    TempFileManager* temp_files = nullptr;
-    RecordComparator comparator = BytewiseCompare;
-    /// Maximum runs merged at once.
-    size_t merge_fanin = 64;
-    /// Polled during spills and cascade merges so a cancelled or expired
-    /// query unwinds mid-sort instead of finishing the pass. nullptr =
-    /// uninterruptible.
-    ExecutionContext* exec = nullptr;
-    /// Block-compress spill runs: records are framed into ~64 KiB
-    /// blocks, each stored as [raw u32][stored u32][payload] where
-    /// stored < raw means a compressed payload and stored == raw a
-    /// stored-raw fallback. Applies to spill and merge runs alike;
-    /// SortStats::spill_bytes counts on-disk (compressed) bytes.
-    bool compress_spill = false;
-  };
+  /// Runs merged at once.
+  static constexpr size_t kMergeFanIn = 64;
 
-  explicit ExternalSorter(Options options);
+  /// `ctx` supplies the budget buffered records are charged to, the
+  /// temp files runs spill to, and the cancellation and deadline polled
+  /// during spills and merge passes. A null `ctx`, or one without a
+  /// bounded budget, gives an unlimited in-memory sort.
+  explicit ExternalSorter(ExecutionContext* ctx);
   ~ExternalSorter();
 
   ExternalSorter(const ExternalSorter&) = delete;
@@ -84,7 +68,7 @@ class ExternalSorter {
   Status Add(std::string_view record);
 
   /// Completes the sort; after this, Add() is invalid. The returned
-  /// stream yields records in comparator order (duplicates preserved,
+  /// stream yields records in bytewise order (duplicates preserved,
   /// stable not guaranteed).
   Result<std::unique_ptr<SortedStream>> Finish();
 
@@ -92,12 +76,14 @@ class ExternalSorter {
 
  private:
   Status SpillBuffer();
-  /// Reduces runs_ to at most merge_fanin via intermediate merges.
+  /// Reduces runs_ to at most kMergeFanIn via intermediate merges.
   Status CascadeMerges();
 
-  Options options_;
+  ExecutionContext* ctx_;
+  /// The bounded budget records are charged to; nullptr = unlimited.
+  MemoryBudget* budget_ = nullptr;
   std::vector<std::string> buffer_;
-  size_t buffered_bytes_ = 0;
+  size_t reserved_bytes_ = 0;  // charged to budget_ for buffer_
   std::vector<std::string> runs_;  // spill file paths
   SortStats stats_;
   bool finished_ = false;

@@ -2,38 +2,17 @@
 
 #include <cstring>
 
-#include "util/compress.h"
-#include "util/metrics.h"
 #include "util/string_util.h"
 
 namespace x3 {
 
-namespace {
-
-Counter& PageBlocksCompressedCounter() {
-  static Counter* c = MetricRegistry::Global().GetCounter(
-      "x3_page_compressed_writes_total",
-      "Page writes stored with the block codec (vs stored-raw fallback)");
-  return *c;
-}
-Counter& PageBodyBytesCounter() {
-  static Counter* c = MetricRegistry::Global().GetCounter(
-      "x3_page_body_bytes_total",
-      "Stored body bytes of compressed-mode page writes");
-  return *c;
-}
-
-}  // namespace
-
 PageFile::~PageFile() { Close().IgnoreError(); }
 
-Status PageFile::Open(const std::string& path, bool truncate, Env* env,
-                      bool compress_pages) {
+Status PageFile::Open(const std::string& path, bool truncate, Env* env) {
   if (file_ != nullptr) {
     return Status::AlreadyExists("page file already open: " + path_);
   }
   env_ = env != nullptr ? env : Env::Default();
-  compress_ = compress_pages;
   OpenMode mode = truncate ? OpenMode::kTruncate : OpenMode::kReadWrite;
   Result<std::unique_ptr<File>> file = env_->OpenFile(path, mode);
   if (!file.ok()) return file.status();
@@ -44,16 +23,15 @@ Status PageFile::Open(const std::string& path, bool truncate, Env* env,
     Close().IgnoreError();
     return size.status();
   }
-  if (*size % disk_page_size() != 0) {
+  if (*size % kDiskPageSize != 0) {
     Status s = Status::Corruption(StringPrintf(
         "page file %s size %llu not a multiple of %zu (torn final page %llu?)",
-        path.c_str(), static_cast<unsigned long long>(*size),
-        disk_page_size(),
-        static_cast<unsigned long long>(*size / disk_page_size())));
+        path.c_str(), static_cast<unsigned long long>(*size), kDiskPageSize,
+        static_cast<unsigned long long>(*size / kDiskPageSize)));
     Close().IgnoreError();
     return s;
   }
-  uint64_t pages = *size / disk_page_size();
+  uint64_t pages = *size / kDiskPageSize;
   if (pages >= kMaxPageCount) {
     Close().IgnoreError();
     return Status::Corruption(StringPrintf(
@@ -79,14 +57,12 @@ Status PageFile::ReadPage(PageId id, Page* page) {
     return Status::OutOfRange(
         StringPrintf("read page %u of %u", id, page_count_));
   }
-  uint8_t disk_page[kCompressedDiskPageSize];
-  const size_t slot = disk_page_size();
-  const size_t payload_len = slot - kPageTrailerSize;
-  X3_RETURN_IF_ERROR(
-      file_->ReadAt(static_cast<uint64_t>(id) * slot, disk_page, slot));
+  uint8_t disk_page[kDiskPageSize];
+  X3_RETURN_IF_ERROR(file_->ReadAt(static_cast<uint64_t>(id) * kDiskPageSize,
+                                   disk_page, kDiskPageSize));
   uint64_t stored = 0;
-  std::memcpy(&stored, disk_page + payload_len, kPageTrailerSize);
-  uint64_t expected = PageChecksumN(disk_page, payload_len, id);
+  std::memcpy(&stored, disk_page + kPageSize, kPageTrailerSize);
+  uint64_t expected = PageChecksum(disk_page, id);
   if (stored != expected) {
     return Status::Corruption(StringPrintf(
         "page %u of %s failed checksum (stored %016llx, computed %016llx): "
@@ -94,74 +70,18 @@ Status PageFile::ReadPage(PageId id, Page* page) {
         id, path_.c_str(), static_cast<unsigned long long>(stored),
         static_cast<unsigned long long>(expected)));
   }
-  if (!compress_) {
-    std::memcpy(page->bytes(), disk_page, kPageSize);
-    ++pages_read_;
-    return Status::OK();
-  }
-  // Checksum-valid frame: decode it. A malformed header here means the
-  // writer was broken, not the disk, but it still must not over-read.
-  uint8_t codec = disk_page[0];
-  uint32_t body_size = 0;
-  std::memcpy(&body_size, disk_page + 1, sizeof(body_size));
-  const uint8_t* body = disk_page + kPageFrameHeaderSize;
-  if (codec == kPageCodecRaw) {
-    if (body_size != kPageSize) {
-      return Status::Corruption(StringPrintf(
-          "page %u of %s: raw frame body %u != page size", id,
-          path_.c_str(), body_size));
-    }
-    std::memcpy(page->bytes(), body, kPageSize);
-  } else if (codec == kPageCodecBlock) {
-    if (body_size >= kPageSize) {
-      return Status::Corruption(StringPrintf(
-          "page %u of %s: compressed frame body %u too large", id,
-          path_.c_str(), body_size));
-    }
-    Result<size_t> raw =
-        DecompressBlock(body, body_size, page->bytes(), kPageSize);
-    if (!raw.ok()) return raw.status();
-    if (*raw != kPageSize) {
-      return Status::Corruption(StringPrintf(
-          "page %u of %s: frame inflated to %zu bytes, want %zu", id,
-          path_.c_str(), *raw, kPageSize));
-    }
-  } else {
-    return Status::Corruption(StringPrintf(
-        "page %u of %s: unknown page codec %u", id, path_.c_str(), codec));
-  }
+  std::memcpy(page->bytes(), disk_page, kPageSize);
   ++pages_read_;
   return Status::OK();
 }
 
 Status PageFile::WritePageWithTrailer(PageId id, const uint8_t* payload) {
-  uint8_t disk_page[kCompressedDiskPageSize];
-  const size_t slot = disk_page_size();
-  const size_t payload_len = slot - kPageTrailerSize;
-  if (!compress_) {
-    std::memcpy(disk_page, payload, kPageSize);
-  } else {
-    std::memset(disk_page, 0, payload_len);
-    uint8_t* body = disk_page + kPageFrameHeaderSize;
-    // Only strictly-smaller output is framed compressed; everything
-    // else (including codec failure to fit) stores raw.
-    size_t packed = CompressBlock(payload, kPageSize, body, kPageSize - 1);
-    uint32_t body_size;
-    if (packed > 0) {
-      disk_page[0] = kPageCodecBlock;
-      body_size = static_cast<uint32_t>(packed);
-      PageBlocksCompressedCounter().Increment();
-    } else {
-      disk_page[0] = kPageCodecRaw;
-      body_size = static_cast<uint32_t>(kPageSize);
-      std::memcpy(body, payload, kPageSize);
-    }
-    std::memcpy(disk_page + 1, &body_size, sizeof(body_size));
-    PageBodyBytesCounter().Increment(body_size);
-  }
-  uint64_t checksum = PageChecksumN(disk_page, payload_len, id);
-  std::memcpy(disk_page + payload_len, &checksum, kPageTrailerSize);
-  return file_->WriteAt(static_cast<uint64_t>(id) * slot, disk_page, slot);
+  uint8_t disk_page[kDiskPageSize];
+  std::memcpy(disk_page, payload, kPageSize);
+  uint64_t checksum = PageChecksum(payload, id);
+  std::memcpy(disk_page + kPageSize, &checksum, kPageTrailerSize);
+  return file_->WriteAt(static_cast<uint64_t>(id) * kDiskPageSize, disk_page,
+                        kDiskPageSize);
 }
 
 Status PageFile::WritePage(PageId id, const Page& page) {

@@ -23,37 +23,15 @@ inline constexpr size_t kPageTrailerSize = sizeof(uint64_t);
 /// On-disk footprint of one page (payload + trailer).
 inline constexpr size_t kDiskPageSize = kPageSize + kPageTrailerSize;
 
-/// Compressed-page frame header: one codec byte + a u32 stored body
-/// size, in front of the (compressed or stored-raw) body.
-inline constexpr size_t kPageFrameHeaderSize = 1 + sizeof(uint32_t);
-
-/// On-disk footprint of one page in a compressed-mode file: the frame
-/// header, a body area big enough for the stored-raw fallback, and the
-/// same trailer. Slots stay fixed-size so page offsets remain a
-/// multiplication; the compression win is the zero-padded tail of each
-/// slot (smaller writes, and free for filesystems that compress or
-/// hole-punch zeros).
-inline constexpr size_t kCompressedDiskPageSize =
-    kPageFrameHeaderSize + kPageSize + kPageTrailerSize;
-
-/// Codec byte values of the compressed-page frame.
-inline constexpr uint8_t kPageCodecRaw = 0;
-inline constexpr uint8_t kPageCodecBlock = 1;
-
-/// Checksum of `n` payload bytes. Mixing the page id into the seed
-/// makes a page written at the wrong offset (or a stale trailer copied
-/// from another page) detectable, not just bit flips. FNV-1a with a
+/// Checksum of a page payload. Mixing the page id into the seed makes
+/// a page written at the wrong offset (or a stale trailer copied from
+/// another page) detectable, not just bit flips. FNV-1a with a
 /// splitmix64 finalizer: fast, non-cryptographic, XXH-class quality for
 /// 8 KiB inputs.
-inline uint64_t PageChecksumN(const uint8_t* payload, size_t n, PageId id) {
+inline uint64_t PageChecksum(const uint8_t* payload, PageId id) {
   uint64_t seed = 0xcbf29ce484222325ULL ^
                   (static_cast<uint64_t>(id) * 0x9e3779b97f4a7c15ULL);
-  return HashFinalize(Fnv1a64(payload, n, seed));
-}
-
-/// Checksum of an uncompressed page payload (the PR 4 layout).
-inline uint64_t PageChecksum(const uint8_t* payload, PageId id) {
-  return PageChecksumN(payload, kPageSize, id);
+  return HashFinalize(Fnv1a64(payload, kPageSize, seed));
 }
 
 /// A file of fixed-size pages with read/write/append, the unit the
@@ -80,15 +58,8 @@ class PageFile {
   /// Opens (creating if necessary) the file at `path`. If `truncate`,
   /// existing contents are discarded. `env` = nullptr uses
   /// Env::Default(). An existing file whose size is not a multiple of
-  /// the slot size (e.g. truncated mid-page by a crash) is Corruption.
-  ///
-  /// `compress_pages` selects the compressed-mode layout: each slot is
-  /// kCompressedDiskPageSize and holds [codec u8][body u32][body][pad]
-  /// followed by the usual checksum trailer (computed over the framed
-  /// payload). The flag is a whole-file property: reopening a file in
-  /// the other mode fails the size check or the checksum verify.
-  Status Open(const std::string& path, bool truncate, Env* env = nullptr,
-              bool compress_pages = false);
+  /// kDiskPageSize (e.g. truncated mid-page by a crash) is Corruption.
+  Status Open(const std::string& path, bool truncate, Env* env = nullptr);
 
   /// Flushes and closes. Safe to call twice.
   Status Close();
@@ -130,21 +101,13 @@ class PageFile {
   uint64_t pages_read() const { return pages_read_; }
   uint64_t pages_written() const { return pages_written_; }
 
-  bool compress_pages() const { return compress_; }
-
  private:
   /// Serializes payload + trailer and writes it at `id`'s offset.
   Status WritePageWithTrailer(PageId id, const uint8_t* payload);
 
-  /// On-disk slot size under the current mode.
-  size_t disk_page_size() const {
-    return compress_ ? kCompressedDiskPageSize : kDiskPageSize;
-  }
-
   Env* env_ = nullptr;
   std::unique_ptr<File> file_;
   std::string path_;
-  bool compress_ = false;
   PageId page_count_ = 0;
   uint64_t pages_read_ = 0;
   uint64_t pages_written_ = 0;

@@ -40,7 +40,7 @@ inline constexpr size_t kWalTrailerBytes = 8;
 inline constexpr uint32_t kWalMaxPayloadBytes = 1u << 30;
 
 /// Checksum of one serialized record (header + payload bytes), seeded
-/// by the record's LSN. Mirrors PageChecksumN (page_file.h).
+/// by the record's LSN. Mirrors PageChecksum (page_file.h).
 inline uint64_t WalRecordChecksum(const uint8_t* bytes, size_t n,
                                   uint64_t lsn) {
   uint64_t seed =

@@ -27,9 +27,8 @@ namespace x3 {
 /// bytes and fails with Corruption on truncated or malformed input
 /// instead of reading past either buffer.
 ///
-/// The codec is deliberately frame-less: callers (spill-run blocks in
-/// ExternalSorter, the page-body codec in PageFile) add their own
-/// raw-size/codec-byte framing and checksums around it.
+/// The codec is deliberately frame-less: its caller (the spill-run
+/// blocks of ExternalSorter) adds its own raw-size framing around it.
 
 /// Worst-case compressed size of a `raw_size` block (all-literal
 /// encoding plus extension bytes). Compressing into a buffer of this

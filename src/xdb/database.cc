@@ -25,8 +25,7 @@ Result<std::unique_ptr<Database>> Database::Open(DatabaseOptions options) {
   }
   db->file_ = std::make_unique<PageFile>();
   X3_RETURN_IF_ERROR(db->file_->Open(db->options_.data_file,
-                                     /*truncate=*/true, db->env_,
-                                     db->options_.compress_pages));
+                                     /*truncate=*/true, db->env_));
   db->pool_ = std::make_unique<BufferPool>(db->file_.get(),
                                            db->options_.buffer_pool_pages);
   db->store_ = std::make_unique<NodeStore>(db->pool_.get());
@@ -256,12 +255,9 @@ Result<std::unique_ptr<Database>> Database::OpenExisting(
   // full pages under the catalog are append-frozen and must verify.
   uint64_t full_pages = header[2] / NodeStore::kRecordsPerPage;
   uint64_t covered_pages = full_pages + (tail_count != 0 ? 1 : 0);
-  uint64_t slot_bytes = options.compress_pages
-                            ? kCompressedDiskPageSize
-                            : kDiskPageSize;
   X3_ASSIGN_OR_RETURN(uint64_t file_bytes,
                       db->env_->FileSize(options.data_file));
-  if (file_bytes < full_pages * slot_bytes) {
+  if (file_bytes < full_pages * kDiskPageSize) {
     return Status::Corruption(StringPrintf(
         "%s has %llu bytes but the catalog covers %llu full pages: "
         "truncated page file?",
@@ -269,15 +265,15 @@ Result<std::unique_ptr<Database>> Database::OpenExisting(
         static_cast<unsigned long long>(file_bytes),
         static_cast<unsigned long long>(full_pages)));
   }
-  if (file_bytes != covered_pages * slot_bytes &&
-      file_bytes != full_pages * slot_bytes) {
+  if (file_bytes != covered_pages * kDiskPageSize &&
+      file_bytes != full_pages * kDiskPageSize) {
     // A crash mid-append left a ragged/uncovered tail. Cut back to the
     // full-page prefix; the tail page (if any) is rebuilt below and
     // uncheckpointed batches are re-applied from the WAL.
     std::unique_ptr<File> raw;
     X3_ASSIGN_OR_RETURN(
         raw, db->env_->OpenFile(options.data_file, OpenMode::kReadWrite));
-    Status trunc = raw->Truncate(full_pages * slot_bytes);
+    Status trunc = raw->Truncate(full_pages * kDiskPageSize);
     if (trunc.ok()) trunc = raw->Sync();
     raw->Close().IgnoreError();
     X3_RETURN_IF_ERROR(trunc);
@@ -285,8 +281,8 @@ Result<std::unique_ptr<Database>> Database::OpenExisting(
   }
 
   db->file_ = std::make_unique<PageFile>();
-  X3_RETURN_IF_ERROR(db->file_->Open(options.data_file, /*truncate=*/false,
-                                     db->env_, options.compress_pages));
+  X3_RETURN_IF_ERROR(
+      db->file_->Open(options.data_file, /*truncate=*/false, db->env_));
   if (tail_count != 0) {
     Page journaled;
     journaled.Zero();

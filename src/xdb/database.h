@@ -34,10 +34,6 @@ struct DatabaseOptions {
   /// goes through this Env. nullptr = Env::Default(). Inject a
   /// FaultInjectionEnv here to storm the storage layer.
   Env* env = nullptr;
-  /// Store page bodies through the block codec (whole-file property:
-  /// OpenExisting must pass the same value the file was created with).
-  /// The checksum trailer and recovery semantics are unchanged.
-  bool compress_pages = false;
   /// WAL segment rotation threshold ("<data_file>.wal.<n>" files).
   uint64_t wal_segment_size_bytes = 4ull << 20;
 };

@@ -70,53 +70,6 @@ TEST(FactTableTest, AdmittedValuesFilterByState) {
   EXPECT_TRUE(values.empty());
 }
 
-TEST(FactTableTest, SaveLoadRoundTrip) {
-  FactTable table(2);
-  for (int f = 0; f < 10; ++f) {
-    table.BeginFact(static_cast<uint64_t>(f), f * 3);
-    table.AddBinding(
-        0, 0b1, table.InternAxisValue(0, "v" + std::to_string(f % 3)));
-    if (f % 2 == 0) {
-      table.AddBinding(
-          1, 0b11, table.InternAxisValue(1, "w" + std::to_string(f % 2)));
-    }
-  }
-  table.Finish();
-
-  TempFileManager temp;
-  std::string path = temp.NextPath("facts");
-  ASSERT_TRUE(table.Save(path).ok());
-  auto loaded = FactTable::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  ASSERT_EQ(loaded->size(), table.size());
-  ASSERT_EQ(loaded->num_axes(), table.num_axes());
-  for (size_t f = 0; f < table.size(); ++f) {
-    EXPECT_EQ(loaded->fact_id(f), table.fact_id(f));
-    EXPECT_EQ(loaded->measure(f), table.measure(f));
-    for (size_t a = 0; a < table.num_axes(); ++a) {
-      auto lm = loaded->BindingMasks(a, f);
-      auto tm = table.BindingMasks(a, f);
-      auto lv = loaded->BindingValues(a, f);
-      auto tv = table.BindingValues(a, f);
-      ASSERT_EQ(lm.size(), tm.size());
-      for (size_t i = 0; i < lm.size(); ++i) {
-        EXPECT_EQ(lm[i], tm[i]);
-        EXPECT_EQ(lv[i], tv[i]);
-      }
-    }
-  }
-  EXPECT_EQ(loaded->AxisValueName(0, 0), table.AxisValueName(0, 0));
-}
-
-TEST(FactTableTest, LoadRejectsGarbage) {
-  TempFileManager temp;
-  std::string path = temp.NextPath("bad");
-  FILE* f = fopen(path.c_str(), "wb");
-  fputs("not a fact table at all, sorry......", f);
-  fclose(f);
-  EXPECT_FALSE(FactTable::Load(path).ok());
-}
-
 TEST(GroupKeyTest, PackUnpackRoundTrip) {
   std::vector<ValueId> values{0, 1, 0xDEADBEEF, kInvalidValueId - 1};
   GroupKey key = PackGroupKey(values);

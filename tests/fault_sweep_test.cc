@@ -74,14 +74,13 @@ struct WorkloadResult {
 WorkloadResult RunWorkload(Env* env, const std::string& xml_path,
                            const std::string& db_path,
                            const std::string& csv_path, MemoryBudget* budget,
-                           TempFileManager* temp, bool compress = false) {
+                           TempFileManager* temp) {
   WorkloadResult result;
   auto run = [&]() -> Status {
     DatabaseOptions options;
     options.data_file = db_path;
     options.buffer_pool_pages = kPoolFrames;
     options.env = env;
-    options.compress_pages = compress;
     X3_ASSIGN_OR_RETURN(std::unique_ptr<Database> db, Database::Open(options));
     X3_RETURN_IF_ERROR(db->LoadXmlFile(xml_path).status());
     X3_RETURN_IF_ERROR(db->Checkpoint());
@@ -90,7 +89,6 @@ WorkloadResult RunWorkload(Env* env, const std::string& xml_path,
     ExecutionContext ctx({budget, temp, nullptr, std::nullopt});
     CubeComputeOptions copts;
     copts.exec = &ctx;
-    copts.compress_spill = compress;
     X3_ASSIGN_OR_RETURN(X3ExecutionResult exec,
                         engine.Execute(kQuery, CubeAlgorithm::kTD, copts));
     result.spilled_runs = ctx.costs().spilled_runs.value();
@@ -141,8 +139,8 @@ class FaultSweepTest : public ::testing::Test {
                     const std::string& label) {
     MemoryBudget budget(kCubeBudgetBytes);
     TempFileManager temp("", env);
-    WorkloadResult r = RunWorkload(env, xml_path_, db_path_, csv_path_,
-                                   &budget, &temp, compress_);
+    WorkloadResult r =
+        RunWorkload(env, xml_path_, db_path_, csv_path_, &budget, &temp);
 
     // Every reservation must have been released on the error path.
     EXPECT_EQ(budget.used(), 0u) << label << ": leaked budget after "
@@ -171,7 +169,6 @@ class FaultSweepTest : public ::testing::Test {
     DatabaseOptions options;
     options.data_file = db_path_;
     options.buffer_pool_pages = kPoolFrames;
-    options.compress_pages = compress_;
     auto reopened = Database::OpenExisting(options);
     if (reopened.ok()) {
       EXPECT_EQ((*reopened)->NodesWithTag("publication").size(), kNumPublications)
@@ -185,85 +182,69 @@ class FaultSweepTest : public ::testing::Test {
     }
   }
 
-  /// The exhaustive sweep body, shared by the plain and compressed
-  /// modes (`compress_` toggles page codec + spill compression).
-  void DoExhaustiveSweep() {
-    // Reference run: no faults armed, but every operation counted.
-    FaultInjectionEnv counting(Env::Default());
-    CleanSlate();
-    MemoryBudget ref_budget(kCubeBudgetBytes);
-    TempFileManager ref_temp("", &counting);
-    WorkloadResult reference =
-        RunWorkload(&counting, xml_path_, db_path_, csv_path_, &ref_budget,
-                    &ref_temp, compress_);
-    ASSERT_TRUE(reference.status.ok()) << reference.status;
-    // Healthy env: every temp file the workload created must have been
-    // removed cleanly (a non-zero count means leaked spill files).
-    EXPECT_EQ(ref_temp.failed_removes(), 0u);
-    ASSERT_GT(reference.spilled_runs, 0u)
-        << "workload must spill so sorter I/O is in the swept schedule";
-    ASSERT_FALSE(reference.csv.empty());
-    reference_csv_ = reference.csv;
-    const uint64_t total_ops = counting.ops_seen();
-    ASSERT_GT(total_ops, 20u);
-    RecordProperty("total_ops", static_cast<int>(total_ops));
-    std::cout << "[ SCHEDULE ] " << total_ops << " I/O ops ("
-              << reference.spilled_runs << " spilled runs)" << std::endl;
-
-    // The workload must be deterministic for index-based replay to mean
-    // anything: a second clean run sees the identical schedule.
-    {
-      FaultInjectionEnv recount(Env::Default());
-      CleanSlate();
-      MemoryBudget budget(kCubeBudgetBytes);
-      TempFileManager temp("", &recount);
-      WorkloadResult again = RunWorkload(&recount, xml_path_, db_path_,
-                                         csv_path_, &budget, &temp, compress_);
-      ASSERT_TRUE(again.status.ok());
-      EXPECT_EQ(temp.failed_removes(), 0u);
-      ASSERT_EQ(recount.ops_seen(), total_ops);
-      ASSERT_EQ(again.csv, reference_csv_);
-    }
-
-    // Exhaustive replay: fail every op index once, with a seeded fault
-    // kind (inapplicable kinds degrade to EIO inside the injector, so
-    // the assignment can be blind).
-    constexpr FaultKind kKinds[] = {FaultKind::kEIO, FaultKind::kENOSPC,
-                                    FaultKind::kShortRead,
-                                    FaultKind::kShortWrite,
-                                    FaultKind::kSyncFailure};
-    FaultInjectionEnv fault(Env::Default());
-    for (uint64_t index = 0; index < total_ops; ++index) {
-      CleanSlate();
-      FaultInjectionEnv::Options opts;
-      opts.fail_op_index = index;
-      opts.kind = kKinds[HashFinalize(0x5eed ^ index) % std::size(kKinds)];
-      opts.seed = index;
-      fault.Arm(opts);
-      RunIteration(&fault, &fault,
-                   "op " + std::to_string(index) + " (" +
-                       FaultKindToString(opts.kind) + ")");
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-  }
-
   TempFileManager files_;
   std::string xml_path_;
   std::string db_path_;
   std::string csv_path_;
   std::string reference_csv_;
-  bool compress_ = false;
 };
 
-TEST_F(FaultSweepTest, ExhaustiveSweep) { DoExhaustiveSweep(); }
+TEST_F(FaultSweepTest, ExhaustiveSweep) {
+  // Reference run: no faults armed, but every operation counted.
+  FaultInjectionEnv counting(Env::Default());
+  CleanSlate();
+  MemoryBudget ref_budget(kCubeBudgetBytes);
+  TempFileManager ref_temp("", &counting);
+  WorkloadResult reference = RunWorkload(&counting, xml_path_, db_path_,
+                                         csv_path_, &ref_budget, &ref_temp);
+  ASSERT_TRUE(reference.status.ok()) << reference.status;
+  // Healthy env: every temp file the workload created must have been
+  // removed cleanly (a non-zero count means leaked spill files).
+  EXPECT_EQ(ref_temp.failed_removes(), 0u);
+  ASSERT_GT(reference.spilled_runs, 0u)
+      << "workload must spill so sorter I/O is in the swept schedule";
+  ASSERT_FALSE(reference.csv.empty());
+  reference_csv_ = reference.csv;
+  const uint64_t total_ops = counting.ops_seen();
+  ASSERT_GT(total_ops, 20u);
+  RecordProperty("total_ops", static_cast<int>(total_ops));
+  std::cout << "[ SCHEDULE ] " << total_ops << " I/O ops ("
+            << reference.spilled_runs << " spilled runs)" << std::endl;
 
-TEST_F(FaultSweepTest, ExhaustiveSweepCompressed) {
-  // Same sweep with the page codec and spill compression on: every
-  // fault must still end in a structured error or the exact cube, and
-  // reopen must recover or report Corruption — never serve a wrong
-  // page that happened to inflate.
-  compress_ = true;
-  DoExhaustiveSweep();
+  // The workload must be deterministic for index-based replay to mean
+  // anything: a second clean run sees the identical schedule.
+  {
+    FaultInjectionEnv recount(Env::Default());
+    CleanSlate();
+    MemoryBudget budget(kCubeBudgetBytes);
+    TempFileManager temp("", &recount);
+    WorkloadResult again = RunWorkload(&recount, xml_path_, db_path_,
+                                       csv_path_, &budget, &temp);
+    ASSERT_TRUE(again.status.ok());
+    EXPECT_EQ(temp.failed_removes(), 0u);
+    ASSERT_EQ(recount.ops_seen(), total_ops);
+    ASSERT_EQ(again.csv, reference_csv_);
+  }
+
+  // Exhaustive replay: fail every op index once, with a seeded fault
+  // kind (inapplicable kinds degrade to EIO inside the injector, so
+  // the assignment can be blind).
+  constexpr FaultKind kKinds[] = {FaultKind::kEIO, FaultKind::kENOSPC,
+                                  FaultKind::kShortRead, FaultKind::kShortWrite,
+                                  FaultKind::kSyncFailure};
+  FaultInjectionEnv fault(Env::Default());
+  for (uint64_t index = 0; index < total_ops; ++index) {
+    CleanSlate();
+    FaultInjectionEnv::Options opts;
+    opts.fail_op_index = index;
+    opts.kind = kKinds[HashFinalize(0x5eed ^ index) % std::size(kKinds)];
+    opts.seed = index;
+    fault.Arm(opts);
+    RunIteration(&fault, &fault,
+                 "op " + std::to_string(index) + " (" +
+                     FaultKindToString(opts.kind) + ")");
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 TEST_F(FaultSweepTest, TornWriteCrashPoints) {
@@ -706,8 +687,7 @@ TEST_F(ServerFaultSweepTest, SpillFaultsFailCleanlyAndSessionStaysLive) {
             << std::endl;
 
   constexpr FaultKind kKinds[] = {FaultKind::kEIO, FaultKind::kENOSPC,
-                                  FaultKind::kShortRead,
-                                  FaultKind::kShortWrite,
+                                  FaultKind::kShortRead, FaultKind::kShortWrite,
                                   FaultKind::kSyncFailure};
   FaultInjectionEnv fault(Env::Default());
   const uint64_t stride = std::max<uint64_t>(1, total_ops / 24);

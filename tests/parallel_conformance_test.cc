@@ -193,10 +193,11 @@ TEST(ParallelConformanceTest, SafeVariantsAlsoMatchTheReferenceInParallel) {
   }
 }
 
-TEST(ParallelConformanceTest, CompressedSpillRunsStayCellExact) {
+TEST(ParallelConformanceTest, SpilledRunsStayCellExact) {
   // A budget far below the fact bytes forces the TD family's external
-  // sorts to spill; block-compressing those runs must not change a
-  // single cell at any parallelism, for any variant.
+  // sorts to spill and merge block-framed runs; that must not change a
+  // single cell against an unbudgeted in-memory run, at any
+  // parallelism, for any variant.
   ExperimentSetting setting;
   setting.coverage_holds = false;
   setting.disjointness_holds = false;
@@ -208,17 +209,15 @@ TEST(ParallelConformanceTest, CompressedSpillRunsStayCellExact) {
   const size_t budget_bytes =
       std::max<size_t>(workload->facts.ApproxBytes() / 4, 16 * 1024);
 
-  uint64_t compressed_spill_bytes = 0;
+  uint64_t spill_bytes = 0;
   for (CubeAlgorithm algo : kAllCubeAlgorithms) {
     const std::string name = CubeAlgorithmToString(algo);
-    MemoryBudget plain_budget(budget_bytes);
-    TempFileManager plain_temp;
-    ExecutionContext plain_ctx(
-        {&plain_budget, &plain_temp, nullptr, std::nullopt});
-    CubeComputeOptions plain = BaseOptions(*workload, &plain_ctx);
-    auto uncompressed =
-        ComputeCube(algo, workload->facts, workload->lattice, plain);
-    ASSERT_TRUE(uncompressed.ok()) << name << ": " << uncompressed.status();
+    ExecutionContext unbudgeted_ctx;
+    auto in_memory =
+        ComputeCube(algo, workload->facts, workload->lattice,
+                    BaseOptions(*workload, &unbudgeted_ctx));
+    ASSERT_TRUE(in_memory.ok()) << name << ": " << in_memory.status();
+    EXPECT_EQ(unbudgeted_ctx.costs().spilled_runs.value(), 0u) << name;
 
     for (size_t parallelism : ParallelismLevels()) {
       MemoryBudget budget(budget_bytes);
@@ -226,22 +225,21 @@ TEST(ParallelConformanceTest, CompressedSpillRunsStayCellExact) {
       ExecutionContext ctx({&budget, &temp, nullptr, std::nullopt});
       CubeComputeOptions options = BaseOptions(*workload, &ctx);
       options.parallelism = parallelism;
-      options.compress_spill = true;
-      auto compressed =
+      auto spilling =
           ComputeCube(algo, workload->facts, workload->lattice, options);
-      ASSERT_TRUE(compressed.ok())
+      ASSERT_TRUE(spilling.ok())
           << name << " parallelism " << parallelism << ": "
-          << compressed.status();
+          << spilling.status();
       std::string diff;
-      EXPECT_TRUE(uncompressed->Equals(*compressed, &diff))
+      EXPECT_TRUE(in_memory->Equals(*spilling, &diff))
           << name << " parallelism " << parallelism << ": " << diff;
       EXPECT_EQ(budget.used(), 0u) << name;
-      compressed_spill_bytes += ctx.costs().spill_bytes.value();
+      spill_bytes += ctx.costs().spill_bytes.value();
     }
   }
-  // The sweep is vacuous unless some variant actually spilled
-  // compressed runs under this budget.
-  EXPECT_GT(compressed_spill_bytes, 0u);
+  // The sweep is vacuous unless some variant actually spilled runs
+  // under this budget.
+  EXPECT_GT(spill_bytes, 0u);
 }
 
 TEST(ParallelConformanceTest, IcebergThresholdsSurviveParallelism) {

@@ -7,10 +7,8 @@
 
 #include <string>
 
-#include "cube/fact_table.h"
 #include "pattern/pattern_parser.h"
 #include "schema/dtd_parser.h"
-#include "storage/temp_file.h"
 #include "tests/test_helpers.h"
 #include "util/random.h"
 #include "x3/parser.h"
@@ -104,43 +102,6 @@ TEST_P(RobustnessTest, QueryParserNeverCrashes) {
   }
   for (int i = 0; i < 100; ++i) {
     testutil::Consume(ParseX3Query(RandomBytes(&rng, rng.Uniform(120))));
-  }
-}
-
-TEST_P(RobustnessTest, FactTableLoadNeverCrashes) {
-  Random rng(GetParam() + 4);
-  // Build a small valid file, then mutate it on disk.
-  FactTable table(2);
-  for (int f = 0; f < 5; ++f) {
-    table.BeginFact(static_cast<uint64_t>(f), f);
-    table.AddBinding(0, 1, table.InternAxisValue(0, "v"));
-  }
-  table.Finish();
-  TempFileManager temp;
-  std::string path = temp.NextPath("fuzz-facts");
-  ASSERT_TRUE(table.Save(path).ok());
-
-  FILE* f = fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  fseek(f, 0, SEEK_END);
-  std::string bytes(static_cast<size_t>(ftell(f)), '\0');
-  fseek(f, 0, SEEK_SET);
-  ASSERT_EQ(fread(bytes.data(), 1, bytes.size(), f), bytes.size());
-  fclose(f);
-
-  for (int i = 0; i < 60; ++i) {
-    std::string mutated =
-        Mutate(&rng, bytes, 1 + static_cast<int>(rng.Uniform(8)));
-    // Truncate sometimes.
-    if (rng.Bernoulli(0.3) && !mutated.empty()) {
-      mutated.resize(rng.Uniform(mutated.size()));
-    }
-    std::string mpath = temp.NextPath("fuzz-mut");
-    FILE* mf = fopen(mpath.c_str(), "wb");
-    ASSERT_NE(mf, nullptr);
-    fwrite(mutated.data(), 1, mutated.size(), mf);
-    fclose(mf);
-    testutil::Consume(FactTable::Load(mpath));  // must not crash
   }
 }
 

@@ -9,6 +9,8 @@
 #include "storage/external_sorter.h"
 #include "storage/page_file.h"
 #include "storage/temp_file.h"
+#include "util/exec.h"
+#include "util/memory_budget.h"
 #include "util/random.h"
 #include "util/string_util.h"
 
@@ -253,7 +255,7 @@ std::vector<std::string> Drain(SortedStream* stream) {
 }
 
 TEST(ExternalSorterTest, InMemorySort) {
-  ExternalSorter sorter({});
+  ExternalSorter sorter(nullptr);
   for (const char* rec : {"pear", "apple", "zoo", "banana"}) {
     ASSERT_TRUE(sorter.Add(rec).ok());
   }
@@ -266,14 +268,14 @@ TEST(ExternalSorterTest, InMemorySort) {
 }
 
 TEST(ExternalSorterTest, EmptyInput) {
-  ExternalSorter sorter({});
+  ExternalSorter sorter(nullptr);
   auto stream = sorter.Finish();
   ASSERT_TRUE(stream.ok());
   EXPECT_TRUE(Drain(stream->get()).empty());
 }
 
 TEST(ExternalSorterTest, DuplicatesPreserved) {
-  ExternalSorter sorter({});
+  ExternalSorter sorter(nullptr);
   for (const char* rec : {"b", "a", "b", "a", "b"}) {
     ASSERT_TRUE(sorter.Add(rec).ok());
   }
@@ -286,10 +288,8 @@ TEST(ExternalSorterTest, DuplicatesPreserved) {
 TEST(ExternalSorterTest, SpillsUnderBudgetAndStaysSorted) {
   TempFileManager temp;
   MemoryBudget budget(4096);  // tiny: forces many runs
-  ExternalSorter::Options options;
-  options.budget = &budget;
-  options.temp_files = &temp;
-  ExternalSorter sorter(options);
+  ExecutionContext ctx({&budget, &temp, nullptr, std::nullopt});
+  ExternalSorter sorter(&ctx);
 
   Random rng(3);
   std::vector<std::string> expected;
@@ -311,13 +311,12 @@ TEST(ExternalSorterTest, SpillsUnderBudgetAndStaysSorted) {
 }
 
 TEST(ExternalSorterTest, CascadedMergePasses) {
+  // 2 KB holds about 36 of these records, so 3000 spill about 83 runs:
+  // more than kMergeFanIn, which forces an intermediate merge pass.
   TempFileManager temp;
   MemoryBudget budget(2048);
-  ExternalSorter::Options options;
-  options.budget = &budget;
-  options.temp_files = &temp;
-  options.merge_fanin = 4;  // force multi-pass merging
-  ExternalSorter sorter(options);
+  ExecutionContext ctx({&budget, &temp, nullptr, std::nullopt});
+  ExternalSorter sorter(&ctx);
 
   Random rng(11);
   std::vector<std::string> expected;
@@ -334,26 +333,10 @@ TEST(ExternalSorterTest, CascadedMergePasses) {
   EXPECT_GT(sorter.stats().merge_passes, 1u);
 }
 
-TEST(ExternalSorterTest, CustomComparator) {
-  ExternalSorter::Options options;
-  options.comparator = [](std::string_view a, std::string_view b) {
-    // Reverse order.
-    return -BytewiseCompare(a, b);
-  };
-  ExternalSorter sorter(options);
-  for (const char* rec : {"a", "c", "b"}) {
-    ASSERT_TRUE(sorter.Add(rec).ok());
-  }
-  auto stream = sorter.Finish();
-  ASSERT_TRUE(stream.ok());
-  EXPECT_EQ(Drain(stream->get()), (std::vector<std::string>{"c", "b", "a"}));
-}
-
 TEST(ExternalSorterTest, BudgetExceededWithoutTempFilesFails) {
   MemoryBudget budget(64);
-  ExternalSorter::Options options;
-  options.budget = &budget;
-  ExternalSorter sorter(options);
+  ExecutionContext ctx({&budget, nullptr, nullptr, std::nullopt});
+  ExternalSorter sorter(&ctx);
   Status last = Status::OK();
   for (int i = 0; i < 100 && last.ok(); ++i) {
     last = sorter.Add("0123456789abcdef");
@@ -362,7 +345,7 @@ TEST(ExternalSorterTest, BudgetExceededWithoutTempFilesFails) {
 }
 
 TEST(ExternalSorterTest, BinaryRecordsWithEmbeddedNuls) {
-  ExternalSorter sorter({});
+  ExternalSorter sorter(nullptr);
   std::string a("a\0b", 3);
   std::string b("a\0a", 3);
   ASSERT_TRUE(sorter.Add(a).ok());
@@ -373,6 +356,40 @@ TEST(ExternalSorterTest, BinaryRecordsWithEmbeddedNuls) {
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0], b);
   EXPECT_EQ(out[1], a);
+}
+
+TEST(ExternalSorterTest, SortsBytesUnsignedInMemoryAndAcrossRuns) {
+  // Group keys are big-endian key fields, so kNullKeyField (0xFFFFFFFF)
+  // and every ValueId >= 0x80000000 must sort after 0x7F bytes: the
+  // sorter's order treats bytes as unsigned, in the in-memory sort and
+  // in the merge over spilled runs alike.
+  std::vector<std::string> sorted;
+  for (int b = 0; b < 256; ++b) {
+    sorted.push_back(std::string(1, static_cast<char>(b)) + "key");
+  }
+  std::vector<std::string> shuffled = sorted;
+  Random rng(256);
+  for (size_t i = shuffled.size() - 1; i > 0; --i) {
+    std::swap(shuffled[i], shuffled[rng.Uniform(i + 1)]);
+  }
+  for (size_t capacity : {size_t{0}, size_t{512}}) {  // 0 = unlimited
+    TempFileManager temp;
+    MemoryBudget budget(capacity);
+    // Another consumer's charge: the sort must return exactly its own.
+    budget.ForceReserve(100);
+    ExecutionContext ctx({&budget, &temp, nullptr, std::nullopt});
+    ExternalSorter sorter(&ctx);
+    for (const std::string& rec : shuffled) {
+      ASSERT_TRUE(sorter.Add(rec).ok());
+    }
+    auto stream = sorter.Finish();
+    ASSERT_TRUE(stream.ok()) << stream.status();
+    EXPECT_EQ(Drain(stream->get()), sorted) << "capacity " << capacity;
+    const bool spilled = capacity != 0;
+    EXPECT_EQ(sorter.stats().runs_spilled > 0, spilled) << capacity;
+    EXPECT_EQ(sorter.stats().in_memory, !spilled) << capacity;
+    EXPECT_EQ(budget.used(), 100u) << capacity;
+  }
 }
 
 /// Model-based buffer pool test: random page writes/reads through a
@@ -432,13 +449,6 @@ TEST_P(BufferPoolModelTest, MatchesInMemoryModel) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BufferPoolModelTest,
                          ::testing::Values(501, 502, 503, 504));
-
-TEST(BytewiseCompareTest, PrefixOrdering) {
-  EXPECT_LT(BytewiseCompare("ab", "abc"), 0);
-  EXPECT_GT(BytewiseCompare("abc", "ab"), 0);
-  EXPECT_EQ(BytewiseCompare("abc", "abc"), 0);
-  EXPECT_LT(BytewiseCompare("", "a"), 0);
-}
 
 // ---------------------------------------------------------------------------
 // Corruption detection and recovery-on-reopen. These damage the on-disk
