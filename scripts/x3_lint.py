@@ -43,10 +43,10 @@ Rules (see docs/STATIC_ANALYSIS.md for the rationale):
                      Timer/MonotonicNow so stage timings and trace
                      timestamps share one time base behind one seam.
   raw-fact-set       No std::set/std::unordered_set of raw integer fact
-                     ids in src/cube/: fact-id sets are FactIdSet
-                     (util/fact_id_set.h), the compressed roaring-style
-                     representation, so cardinality stays O(1) and the
-                     memory budget stays honest.
+                     ids in src/cube/: a list of fact ids is a sorted
+                     std::vector<uint32_t>, one contiguous block whose
+                     bytes the view store can count, not one heap node
+                     per id.
   raw-mutex          No bare std::mutex / std::condition_variable /
                      std::lock_guard / std::unique_lock (or their timed/
                      recursive/shared cousins) in src/ outside
@@ -142,8 +142,8 @@ RAW_CLOCK = re.compile(
 # Raw locking primitives. x3::Mutex/MutexLock/CondVar
 # (util/thread_annotations.h) are the only lock types allowed in src/:
 # they carry the capability annotations and the lock-order rank.
-# A set of raw integer ids in cube code is a fact-id set by another
-# name; FactIdSet is the one blessed representation.
+# A node-based set of integer ids in cube code is a fact-id list by
+# another name; a sorted std::vector<uint32_t> is the one representation.
 RAW_FACT_SET = re.compile(
     r"std\s*::\s*(?:unordered_)?set\s*<\s*(?:std\s*::\s*)?"
     r"(?:uint32_t|uint64_t|size_t|unsigned(?:\s+(?:int|long(?:\s+long)?))?)"
@@ -312,8 +312,8 @@ class Linter:
                             "MonotonicNow (util/timer.h)", raw)
             if rel.startswith("src/cube/") and RAW_FACT_SET.search(code):
                 self.report(path, lineno, "raw-fact-set",
-                            "raw integer set in src/cube/; fact-id sets "
-                            "use FactIdSet (util/fact_id_set.h)", raw)
+                            "raw integer set in src/cube/; fact-id lists "
+                            "are sorted std::vector<uint32_t>", raw)
             if in_src and not is_lock_seam and RAW_MUTEX.search(code):
                 self.report(path, lineno, "raw-mutex",
                             "raw std::mutex/condition_variable/lock in src/; "

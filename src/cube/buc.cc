@@ -1,7 +1,7 @@
 #include <algorithm>
+#include <numeric>
 
 #include "cube/executor.h"
-#include "util/fact_id_set.h"
 #include "util/logging.h"
 
 namespace x3 {
@@ -22,7 +22,9 @@ namespace {
 /// Reaching the end of the axis list emits one cube cell: the cuboid is
 /// the tuple of chosen states, the group the tuple of chosen values,
 /// and the rows are exactly the facts of that group (each exactly
-/// once, because partitioning deduplicates values per fact).
+/// once: FactTable::AddBinding keeps a fact's values on one axis
+/// distinct, so a fact yields at most one pair per value). Row lists
+/// are ascending fact ids.
 class BucComputation {
  public:
   BucComputation(CubeAlgorithm variant, const FactTable& facts,
@@ -38,10 +40,8 @@ class BucComputation {
 
   Result<CubeResult> Run() {
     ScopedStageTimer timer(ctx_->stats(), "partition-walk", ctx_->tracer());
-    FactIdSet rows;
-    for (size_t f = 0; f < facts_.size(); ++f) {
-      rows.Add(static_cast<uint32_t>(f));
-    }
+    std::vector<uint32_t> rows(facts_.size());
+    std::iota(rows.begin(), rows.end(), 0);
     ctx_->costs().base_scans.Add();
     Status status = Recurse(0, rows);
     // The partition loop counts into members; the context gets the
@@ -70,12 +70,12 @@ class BucComputation {
     }
   }
 
-  Status Recurse(size_t axis, const FactIdSet& rows) {
+  Status Recurse(size_t axis, const std::vector<uint32_t>& rows) {
     X3_RETURN_IF_ERROR(ctx_->Poll());
     // Iceberg pruning: every deeper group is a subset of `rows`, so
     // nothing below the threshold can qualify (Beyer-Ramakrishnan).
     if (options_.min_count > 1 &&
-        rows.cardinality() < static_cast<size_t>(options_.min_count)) {
+        rows.size() < static_cast<size_t>(options_.min_count)) {
       return Status::OK();
     }
     if (axis == lattice_.num_axes()) {
@@ -102,30 +102,15 @@ class BucComputation {
       // (§3.4's replicated membership); empty partitions never exist
       // and recursion prunes automatically.
       std::vector<std::pair<ValueId, uint32_t>> pairs;
-      pairs.reserve(rows.cardinality());
+      pairs.reserve(rows.size());
       bool fast = AssumeDisjoint(axis, s);
-      rows.ForEach([&](uint32_t row) {
-        uint32_t lo = offsets[row];
-        uint32_t hi = offsets[row + 1];
-        for (uint32_t i = lo; i < hi; ++i) {
+      for (uint32_t row : rows) {
+        for (uint32_t i = offsets[row]; i < offsets[row + 1]; ++i) {
           if (!FactTable::AdmittedAt(masks[i], s)) continue;
-          if (fast) {
-            pairs.emplace_back(values[i], row);
-            break;  // disjointness assumed: first admitted value only
-          }
-          // First-seen dedup within the fact's binding range (the same
-          // value may appear under several masks pre-collapse).
-          bool seen = false;
-          for (uint32_t j = lo; j < i; ++j) {
-            if (values[j] == values[i] &&
-                FactTable::AdmittedAt(masks[j], s)) {
-              seen = true;
-              break;
-            }
-          }
-          if (!seen) pairs.emplace_back(values[i], row);
+          pairs.emplace_back(values[i], row);
+          if (fast) break;  // disjointness assumed: first admitted value
         }
-      });
+      }
       std::sort(pairs.begin(), pairs.end());
       size_t charged = pairs.size() * sizeof(pairs[0]);
       partition_rows_ += pairs.size();
@@ -135,14 +120,12 @@ class BucComputation {
       // (cancellation) surfacing from a deeper level — collect the
       // status and fall through to the Release.
       Status status = Status::OK();
-      FactIdSet partition;
+      std::vector<uint32_t> partition;
       for (size_t i = 0; i < pairs.size() && status.ok();) {
         ValueId v = pairs[i].first;
-        partition.Clear();
-        // Rows of a run arrive ascending (sort ties break on row), so
-        // these Adds hit the append fast path.
+        partition.clear();
         while (i < pairs.size() && pairs[i].first == v) {
-          partition.Add(pairs[i].second);
+          partition.push_back(pairs[i].second);
           ++i;
         }
         ++partitions_;
@@ -156,13 +139,12 @@ class BucComputation {
     return Status::OK();
   }
 
-  void Emit(const FactIdSet& rows) {
+  void Emit(const std::vector<uint32_t>& rows) {
     if (rows.empty()) return;
     CuboidId cuboid = lattice_.Encode(states_);
     GroupKey key = PackGroupKey(values_);
     AggregateState* cell = result_.MutableCell(cuboid, key);
-    rows.ForEach(
-        [&](uint32_t row) { cell->Update(facts_.measure(row)); });
+    for (uint32_t row : rows) cell->Update(facts_.measure(row));
   }
 
   CubeAlgorithm variant_;

@@ -135,19 +135,14 @@ Result<CubeResult> ExecuteCounter(const CubePlan& plan,
   for (const CuboidPlanStep& step : plan.steps) {
     all.push_back(step.cuboid);
   }
-  if (options.parallelism <= 1 || all.size() <= 1) {
-    uint64_t passes = 0;
-    X3_RETURN_IF_ERROR(
-        CounterBatch(facts, lattice, all, ctx, &result, &passes));
-    return result;
-  }
-  // Parallel: round-robin the cuboids into one batch per worker, each
-  // an independent task. Batches write disjoint cuboid maps of the
-  // shared result, and the shared atomic budget still caps the sum of
-  // all counters — a batch that overflows splits itself exactly as in
-  // the sequential multi-pass case, so cell contents stay exact (the
-  // pass *structure* may differ from the single-thread run; the
-  // differential tests compare cells, which are identical).
+  // Round-robin the cuboids into one batch per worker, each an
+  // independent task; at parallelism 1 that is one batch of every
+  // cuboid, run on the calling thread. Batches write disjoint cuboid
+  // maps of the shared result, and the shared atomic budget still caps
+  // the sum of all counters — a batch that overflows splits itself into
+  // more passes, so cell contents stay exact (the pass *structure* may
+  // differ between parallelisms; the differential tests compare cells,
+  // which are identical).
   const size_t num_batches = std::min(options.parallelism, all.size());
   std::vector<std::vector<CuboidId>> batches(num_batches);
   for (size_t i = 0; i < all.size(); ++i) {

@@ -12,7 +12,7 @@ namespace {
 Counter* PatchedCounter() {
   static Counter* c = MetricRegistry::Global().GetCounter(
       "x3_delta_views_patched_total",
-      "Materialized views updated in place by delta maintenance");
+      "Materialized views patched by folding in delta facts");
   return c;
 }
 
@@ -139,13 +139,11 @@ Status ApplyViewDeltas(const CubeViewStore& source, CubeViewStore* target,
       ++st->views_recomputed;
       continue;
     }
-    if (target != &source) {
-      // A reader's cache insert may have evicted the view since the plan
-      // was made; the new store then simply lacks it.
-      Status cloned = target->CloneViewFrom(source, step.cuboid);
-      if (cloned.code() == StatusCode::kNotFound) continue;
-      X3_RETURN_IF_ERROR(cloned);
-    }
+    // A reader's cache insert may have evicted the view since the plan
+    // was made; the new store then simply lacks it.
+    Status cloned = target->CloneViewFrom(source, step.cuboid);
+    if (cloned.code() == StatusCode::kNotFound) continue;
+    X3_RETURN_IF_ERROR(cloned);
     X3_RETURN_IF_ERROR(target->ApplyDelta(step.cuboid, plan.first_new_fact,
                                           &st->cells_touched));
     ++st->views_patched;

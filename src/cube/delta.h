@@ -78,12 +78,11 @@ std::string ExplainDeltaPlan(const DeltaPlan& plan,
 
 /// Executes `plan` against `target`, whose fact table must be the
 /// appended one the plan was computed over. Merge steps clone the view
-/// from `source` (skipped when `source` and `target` are the same
-/// store — in-place maintenance) and fold the delta facts in; a merge
-/// step whose view `source` no longer holds (evicted since planning) is
-/// skipped and left out of `target`. Recompute steps re-materialize
-/// with fact ids. `stats` (optional) accumulates counters; x3_delta_*
-/// metrics are bumped either way.
+/// from `source` and fold the delta facts in; a merge step whose view
+/// `source` no longer holds (evicted since planning) is skipped and
+/// left out of `target`. Recompute steps re-materialize with fact ids.
+/// `stats` (optional) accumulates counters; x3_delta_* metrics are
+/// bumped either way.
 Status ApplyViewDeltas(const CubeViewStore& source, CubeViewStore* target,
                        const DeltaPlan& plan, DeltaStats* stats = nullptr);
 

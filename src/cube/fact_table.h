@@ -1,7 +1,6 @@
 #ifndef X3_CUBE_FACT_TABLE_H_
 #define X3_CUBE_FACT_TABLE_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -56,8 +55,11 @@ class FactTable {
   /// Interns an axis value string to its per-axis ValueId.
   ValueId InternAxisValue(size_t axis, std::string_view value);
 
-  /// Adds one binding for the current fact. Duplicate (mask, value)
-  /// pairs within a fact are collapsed.
+  /// Adds one binding for the current fact. A value the fact already
+  /// binds on `axis` is collapsed into that binding, whose mask gains
+  /// `mask`; so a fact's values on one axis are distinct. Readers rely
+  /// on it: AdmittedValues, BUC's partitions and the view store's id
+  /// lists never check for a repeated value.
   void AddBinding(size_t axis, AxisStateMask mask, ValueId value);
 
   /// Seals the table; required before any read access.
@@ -66,7 +68,7 @@ class FactTable {
   /// Reopens a finished table for appending more facts (delta ingest):
   /// BeginFact/AddBinding work again until the next Finish(). Existing
   /// fact indices, ValueIds and column contents are untouched, so
-  /// views and fact-id sets built over the old prefix stay valid.
+  /// views and fact-id lists built over the old prefix stay valid.
   void ReopenForAppend();
 
   /// Deep copy (copy construction stays deleted so accidental copies
@@ -118,9 +120,10 @@ class FactTable {
   }
 
   /// Distinct values of `axis` for `fact` admitted at `state`, appended
-  /// to `*out` (cleared first). Order is first-seen. Inline over the
-  /// columns: the group-walk kernel (cube/group_walk.h) and COUNTER's
-  /// per-fact cache fill call it once per (fact, axis, state).
+  /// to `*out` (cleared first) in binding order. Distinct because
+  /// AddBinding collapses a repeated value. Inline over the columns:
+  /// the group-walk kernel (cube/group_walk.h) and COUNTER's per-fact
+  /// cache fill call it once per (fact, axis, state).
   void AdmittedValues(size_t axis, size_t fact, AxisStateId state,
                       std::vector<ValueId>* out) const {
     out->clear();
@@ -128,10 +131,7 @@ class FactTable {
     const ValueId* values = axis_value_cols_[axis].data();
     const uint32_t hi = axis_offsets_[axis][fact + 1];
     for (uint32_t i = axis_offsets_[axis][fact]; i < hi; ++i) {
-      if (!AdmittedAt(masks[i], state)) continue;
-      if (std::find(out->begin(), out->end(), values[i]) == out->end()) {
-        out->push_back(values[i]);
-      }
+      if (AdmittedAt(masks[i], state)) out->push_back(values[i]);
     }
   }
 

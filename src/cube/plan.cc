@@ -395,8 +395,8 @@ CubePlan BuildCubePlan(CubeAlgorithm algo, const CubeLattice& lattice,
                        const LatticeProperties& properties) {
   CubePlan plan;
   plan.algorithm = algo;
-  // Planning-time dispatch; the execution hot path goes through the
-  // CuboidExecutor registry instead.
+  // Planning-time dispatch; execution dispatches again on the plan's
+  // algorithm, in ComputeCube's switch.
   switch (algo) {
     case CubeAlgorithm::kReference:
     case CubeAlgorithm::kCounter:

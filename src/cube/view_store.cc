@@ -35,9 +35,9 @@ Status CubeViewStore::FoldFacts(CuboidId cuboid, View* view,
       ViewCell& cell = view->cells[key];
       cell.agg.Update(measure);
       if (view->with_fact_ids) {
-        // Ascending f: hits FactIdSet's append fast path, and a fact
-        // enters a given cell at most once per walk.
-        cell.facts.Add(static_cast<uint32_t>(f));
+        // f ascends, and the walk yields each group of a fact once, so
+        // the list stays sorted and distinct.
+        cell.facts.push_back(static_cast<uint32_t>(f));
       }
       if (cells_touched != nullptr) ++*cells_touched;
     });
@@ -77,10 +77,18 @@ Status CubeViewStore::Materialize(const std::vector<CuboidId>& cuboids,
 }
 
 size_t CubeViewStore::ViewBytesLocked(const View& view) {
+  // Per cell: the hash node holding the key object and the cell, plus
+  // 32 for its link, cached hash, bucket slot and malloc header, and
+  // the key's bytes. A non-empty id list adds its heap block: capacity
+  // plus malloc's 8-byte header, never less than malloc's 32-byte
+  // minimum chunk.
   size_t bytes = 0;
   for (const auto& [key, cell] : view.cells) {
-    bytes += key.size() + sizeof(ViewCell) + 32;
-    bytes += cell.facts.ApproxBytes();
+    bytes += sizeof(GroupKey) + key.size() + sizeof(ViewCell) + 32;
+    if (!cell.facts.empty()) {
+      bytes += std::max<size_t>(
+          32, cell.facts.capacity() * sizeof(uint32_t) + 8);
+    }
   }
   return bytes;
 }
@@ -215,11 +223,11 @@ CellMap CubeViewStore::Project(const View& view,
     ++group_number;
     AggregateState& agg = out[target_key];
     for (const ViewCell* cell : cells) {
-      cell->facts.ForEach([&](uint32_t f) {
-        if (stamp[f] == group_number) return;
+      for (uint32_t f : cell->facts) {
+        if (stamp[f] == group_number) continue;
         stamp[f] = group_number;
         agg.Update(facts_->measure(f));
-      });
+      }
     }
   }
   return out;

@@ -13,7 +13,6 @@
 #include "relax/cube_lattice.h"
 #include "schema/summarizability.h"
 #include "util/exec.h"
-#include "util/fact_id_set.h"
 #include "util/result.h"
 #include "util/thread_annotations.h"
 
@@ -167,9 +166,9 @@ class CubeViewStore {
  private:
   struct ViewCell {
     AggregateState agg;
-    /// Contributing fact indices as a compressed set (empty when the
-    /// view was materialized without ids).
-    FactIdSet facts;
+    /// Contributing fact indices, ascending and distinct (empty when
+    /// the view was materialized without ids).
+    std::vector<uint32_t> facts;
   };
   struct View {
     bool with_fact_ids = false;

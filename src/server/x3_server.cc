@@ -649,9 +649,7 @@ Result<ServerAnswer> X3Server::RunQuery(const ServerRequest& request,
     compute.aggregate = query.aggregate;
     compute.properties = &shape->properties;
     compute.exec = &ctx;
-    compute.parallelism = request.parallelism != 0
-                              ? request.parallelism
-                              : options_.default_parallelism;
+    compute.parallelism = request.parallelism;
     // min_count stays 0: the cache holds unfiltered cells so requests
     // with different iceberg thresholds share the same views; the
     // filter is applied per request below.

@@ -46,9 +46,6 @@ struct X3ServerOptions {
   /// Default per-query deadline in seconds; 0 = none. A request's
   /// explicit deadline overrides this.
   double default_deadline_seconds = 0;
-  /// Default per-query compute parallelism (CubeComputeOptions
-  /// semantics: 1 = calling thread, 0 = hardware concurrency).
-  size_t default_parallelism = 1;
   /// Environment spill files go through; nullptr = Env::Default().
   Env* env = nullptr;
   /// Base directory for spill files; empty = $TMPDIR.
@@ -101,8 +98,9 @@ struct ServerRequest {
   const LatticeProperties* properties = nullptr;
   /// Per-request deadline in seconds; overrides the server default.
   std::optional<double> deadline_seconds;
-  /// Compute parallelism; 0 = the server default.
-  size_t parallelism = 0;
+  /// Compute parallelism, as CubeComputeOptions::parallelism: 1 = the
+  /// worker's own thread, 0 = hardware concurrency.
+  size_t parallelism = 1;
   /// When false the query bypasses the cuboid cache entirely (no view
   /// lookups, no cache fill) — the cold-path escape hatch.
   bool use_cache = true;

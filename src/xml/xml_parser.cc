@@ -275,10 +275,10 @@ class Parser {
       }
       element->SetAttribute(std::move(attr_name), std::move(attr_value));
     }
-    if (Match("/>")) return std::move(element);
+    if (Match("/>")) return element;
     if (!Match(">")) return Error("expected '>'");
     X3_RETURN_IF_ERROR(ParseContent(element.get()));
-    return std::move(element);
+    return element;
   }
 
   /// Parses children until the matching end tag is consumed.

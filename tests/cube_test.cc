@@ -46,11 +46,25 @@ TEST(FactTableTest, DuplicateBindingsCollapseByValue) {
   FactTable table(1);
   table.BeginFact(1, 1);
   ValueId v = table.InternAxisValue(0, "x");
-  table.AddBinding(0, 0b01, v);
-  table.AddBinding(0, 0b10, v);  // same value, different state
+  ValueId w = table.InternAxisValue(0, "y");
+  table.AddBinding(0, 0b001, v);
+  table.AddBinding(0, 0b010, v);  // same value, different state
+  table.AddBinding(0, 0b001, w);
+  table.AddBinding(0, 0b101, v);  // overlaps the first mask at state 0
   table.Finish();
-  ASSERT_EQ(table.NumBindings(0, 0), 1u);
-  EXPECT_EQ(table.BindingMasks(0, 0)[0], 0b11u);
+  // One binding per value, carrying the OR of its masks: the readers of
+  // the columns never check for a repeated value.
+  ASSERT_EQ(table.NumBindings(0, 0), 2u);
+  EXPECT_EQ(table.BindingValues(0, 0)[0], v);
+  EXPECT_EQ(table.BindingMasks(0, 0)[0], 0b111u);
+  EXPECT_EQ(table.BindingMasks(0, 0)[1], 0b001u);
+  std::vector<ValueId> values;
+  table.AdmittedValues(0, 0, 0, &values);
+  EXPECT_EQ(values, (std::vector<ValueId>{v, w}));
+  for (AxisStateId s : {1, 2}) {
+    table.AdmittedValues(0, 0, s, &values);
+    EXPECT_EQ(values, std::vector<ValueId>{v}) << "state " << s;
+  }
 }
 
 TEST(FactTableTest, AdmittedValuesFilterByState) {

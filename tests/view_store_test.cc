@@ -62,7 +62,7 @@ TEST_P(ViewStoreTest, ExactViewAnswersItsOwnCuboid) {
 }
 
 TEST_P(ViewStoreTest, IdTrackingViewAnswersEveryCuboidCorrectly) {
-  // Neither property holds: only the fact-id sets make roll-ups exact.
+  // Neither property holds: only the fact-id lists make roll-ups exact.
   Build(false, false);
   CuboidId finest = workload_->lattice.FinestCuboid();
   ASSERT_TRUE(store_->Materialize(finest, /*with_fact_ids=*/true).ok());
