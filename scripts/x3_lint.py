@@ -43,8 +43,9 @@ Rules (see docs/STATIC_ANALYSIS.md for the rationale):
                      Timer/MonotonicNow so stage timings and trace
                      timestamps share one time base behind one seam.
   raw-fact-set       No std::set/std::unordered_set of raw integer fact
-                     ids in src/cube/: a list of fact ids is a sorted
-                     std::vector<uint32_t>, one contiguous block whose
+                     ids in src/cube/: BUC keeps its fact lists as sorted
+                     std::vector<uint32_t>, and a view keeps one id array
+                     with an offset per cell, contiguous blocks whose
                      bytes the view store can count, not one heap node
                      per id.
   raw-mutex          No bare std::mutex / std::condition_variable /
@@ -93,6 +94,13 @@ Rules (see docs/STATIC_ANALYSIS.md for the rationale):
                      JSONL consumers and unattributable to a query.
                      (fprintf is already banned repo-wide by raw-stdio.)
 
+  cell-map-once      No std::unordered_map keyed by GroupKey in src/
+                     outside cube/cube_result.h's CellMap alias, the
+                     answer type: a node-based map costs a heap node, a
+                     key string and a malloc per cell. Cells that the
+                     engine keeps or groups go in flat arrays numbered
+                     through a CellTable (cube/cell_table.h), as the view
+                     store's do.
   metric-once        A metric name literal ("x3_...") appears on one line
                      of src/ only: each metric has one registration
                      site, an accessor every reader and writer calls.
@@ -170,6 +178,9 @@ RAW_PAGE_WRITE = re.compile(
 ODOMETER_ADVANCE = re.compile(r"\+\+\s*\w+\s*\[\s*\w+\s*\]\s*<")
 KEY_FIELD_ENCODE = re.compile(r">>\s*24\s*\)\s*&\s*0x[fF][fF]")
 GROUP_WALK_HOMES = ("src/cube/group_walk.h", "src/cube/cube_result.cc")
+# A node-based cell map: the answer type's alias is its one home.
+NODE_CELL_MAP = re.compile(r"std\s*::\s*unordered_map\s*<\s*GroupKey\b")
+CELL_MAP_HOME = "src/cube/cube_result.h"
 # A metric name literal: the registry's names all start with x3_.
 METRIC_LITERAL = re.compile(r'"(x3_\w+)"')
 ALLOW = re.compile(r"x3-lint:\s*allow\(([\w-]+)\)")
@@ -312,8 +323,15 @@ class Linter:
                             "MonotonicNow (util/timer.h)", raw)
             if rel.startswith("src/cube/") and RAW_FACT_SET.search(code):
                 self.report(path, lineno, "raw-fact-set",
-                            "raw integer set in src/cube/; fact-id lists "
-                            "are sorted std::vector<uint32_t>", raw)
+                            "raw integer set in src/cube/; BUC's fact lists "
+                            "are sorted std::vector<uint32_t>, a view's ids "
+                            "one array with per-cell offsets", raw)
+            if (in_src and rel != CELL_MAP_HOME
+                    and NODE_CELL_MAP.search(code)):
+                self.report(path, lineno, "cell-map-once",
+                            "node-based cell map outside CellMap's alias; "
+                            "keep cells in flat arrays numbered by a "
+                            "CellTable (cube/cell_table.h)", raw)
             if in_src and not is_lock_seam and RAW_MUTEX.search(code):
                 self.report(path, lineno, "raw-mutex",
                             "raw std::mutex/condition_variable/lock in src/; "

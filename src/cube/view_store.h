@@ -2,6 +2,7 @@
 #define X3_CUBE_VIEW_STORE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -10,6 +11,7 @@
 #include "cube/aggregate.h"
 #include "cube/cube_result.h"
 #include "cube/fact_table.h"
+#include "cube/group_walk.h"
 #include "relax/cube_lattice.h"
 #include "schema/summarizability.h"
 #include "util/exec.h"
@@ -58,13 +60,22 @@ struct ViewComputeStats {
 /// provably disjoint; an id-carrying ancestor re-aggregated from its
 /// fact ids; or the base table.
 ///
-/// Thread safety: the view map is guarded by `mu_` (rank
-/// lock_rank::kViewStore), so concurrent Answer() calls — the shared
-/// cuboid-cache shape the serving layer needs — are safe, including
-/// against a concurrent Materialize(). Materialize builds the view
-/// outside the lock and only publishes under it; Answer's base-table
-/// fallback also runs unlocked (it touches only the immutable fact
-/// table and lattice).
+/// Layout: a view is flat arrays, not a node per cell. Its cells'
+/// keys lie back to back in one buffer, their aggregates in one vector
+/// and, in an id view, their fact ids in one array with one offset per
+/// cell; builds and roll-ups find cells through one CellTable
+/// (cube/cell_table.h). So a build makes a handful of allocations, not
+/// several per cell, and a view's byte count is its arrays' capacities.
+///
+/// Thread safety: a published view is immutable, held by
+/// std::shared_ptr<const View>. The view map is guarded by `mu_` (rank
+/// lock_rank::kViewStore), held only to pick a view or to publish one:
+/// AnswerFromViews copies the chosen view's pointer under the lock and
+/// projects after releasing it, so readers of one store never wait for
+/// each other's projections, and a concurrent Evict only drops the
+/// map's reference. Materialize and ApplyDelta build outside the lock
+/// and publish under it; Answer's base-table fallback also runs
+/// unlocked (it touches only the immutable fact table and lattice).
 class CubeViewStore {
  public:
   /// Both referents must outlive the store.
@@ -120,29 +131,35 @@ class CubeViewStore {
   std::vector<std::pair<CuboidId, bool>> MaterializedViews() const
       X3_EXCLUDES(mu_);
 
-  /// Copies `cuboid`'s materialized view out of `source` into this
-  /// store (replacing any existing view of the same cuboid). NotFound
-  /// when `source` has no such view. The two stores' locks are taken
+  /// Shares `cuboid`'s materialized view of `source` with this store
+  /// (replacing any existing view of the same cuboid): both stores then
+  /// hold the one immutable view, and nothing is copied. NotFound when
+  /// `source` has no such view. The two stores' locks are taken
   /// sequentially, never nested, so same-rank stores are fine.
   Status CloneViewFrom(const CubeViewStore& source, CuboidId cuboid)
       X3_EXCLUDES(mu_);
 
   /// Folds facts [first_new_fact, facts()->size()) of the (re-finished)
   /// fact table into `cuboid`'s materialized view — the same
-  /// null-value-group walk Materialize runs, restricted to the
-  /// delta range, so the patched view is byte-identical to a fresh
-  /// materialization. Caller is responsible for only patching views the
-  /// delta plan proved safe. `cells_touched` (optional) accumulates the
-  /// number of cell updates. NotFound when the view is not
-  /// materialized.
+  /// null-value-group walk Materialize runs, restricted to the delta
+  /// range, so the patched view is cell-for-cell a fresh
+  /// materialization. The patch is a new view, built outside the lock
+  /// from the current one (copied once) and published in its place, so
+  /// another store sharing the old view (CloneViewFrom) and readers
+  /// projecting it never see a half-folded view. A concurrent Evict or
+  /// Materialize of `cuboid` wins over the patch. Caller is responsible
+  /// for only patching views the delta plan proved safe.
+  /// `cells_touched` (optional) accumulates the number of cell updates.
+  /// NotFound when the view is not materialized.
   Status ApplyDelta(CuboidId cuboid, size_t first_new_fact,
                     uint64_t* cells_touched = nullptr) X3_EXCLUDES(mu_);
 
-  /// Approximate memory held by materialized views.
+  /// Heap held by materialized views (a view shared with another store
+  /// counts in both).
   size_t ApproxBytes() const X3_EXCLUDES(mu_);
 
-  /// Approximate memory of one materialized view (0 when absent) — the
-  /// unit the serving layer's LRU accounting is denominated in.
+  /// Heap of one materialized view (0 when absent) — the unit the
+  /// serving layer's LRU accounting is denominated in.
   size_t ViewApproxBytes(CuboidId cuboid) const X3_EXCLUDES(mu_);
 
   /// Computes the cells of `target` (no null groups — the real cuboid)
@@ -164,20 +181,26 @@ class CubeViewStore {
       ViewComputeStats* stats = nullptr) const X3_EXCLUDES(mu_);
 
  private:
-  struct ViewCell {
-    AggregateState agg;
-    /// Contributing fact indices, ascending and distinct (empty when
-    /// the view was materialized without ids).
-    std::vector<uint32_t> facts;
-  };
   struct View {
     bool with_fact_ids = false;
     /// Present axes of the view's cuboid, ascending.
     std::vector<size_t> present;
     /// Per-axis state of the view's cuboid.
     std::vector<AxisStateId> states;
-    /// Keyed over `present` (null fields = kNullKeyField).
-    std::unordered_map<GroupKey, ViewCell> cells;
+    /// Cell c's key, over `present` (null fields = kNullKeyField), at
+    /// bytes [c * key_size(), (c + 1) * key_size()). Cells are numbered
+    /// in first-seen order over the facts.
+    std::vector<char> keys;
+    /// Cell c's aggregate.
+    std::vector<AggregateState> aggs;
+    /// In an id view, cell c's contributing fact indices are
+    /// ids[id_begin[c] .. id_begin[c + 1]), ascending and distinct;
+    /// both are empty in a view without ids.
+    std::vector<uint32_t> id_begin;
+    std::vector<uint32_t> ids;
+
+    size_t key_size() const { return present.size() * kKeyFieldBytes; }
+    size_t num_cells() const { return aggs.size(); }
   };
 
   /// True iff `target` is `view` with zero or more of its axes
@@ -188,28 +211,33 @@ class CubeViewStore {
                        std::vector<size_t>* kept_positions,
                        std::vector<size_t>* dropped_axes) const;
 
-  /// Folds facts [first_fact, facts_->size()) into `view`, the view of
-  /// `cuboid`: the null-value-group walk (cube/group_walk.h) shared by
-  /// Materialize and ApplyDelta. Polls `ctx` (may be null) once per
-  /// fact; counts cell updates into `cells_touched` (may be null).
-  Status FoldFacts(CuboidId cuboid, View* view, size_t first_fact,
-                   ExecutionContext* ctx, uint64_t* cells_touched) const;
+  /// Builds into `view` (empty) the view of `cuboid` over every fact:
+  /// `base`'s cells, the view over facts [0, first_fact) (null when
+  /// first_fact is 0), copied, then facts [first_fact, facts_->size())
+  /// folded in by the null-value-group walk (cube/group_walk.h) that
+  /// Materialize and ApplyDelta share. Polls `ctx` (may be null) once
+  /// per fact; counts cell updates into `cells_touched` (may be null).
+  Status FoldFacts(CuboidId cuboid, const View* base, size_t first_fact,
+                   ExecutionContext* ctx, uint64_t* cells_touched,
+                   View* view) const;
 
   /// Projects `view`'s cells onto the key fields at `kept` positions,
   /// skipping cells with a null kept field; merges aggregates, or with
   /// `needs_ids` re-aggregates each target group from its cells' fact
   /// ids, every fact once. An exact projection keeps every position.
+  /// Reads only its arguments and the immutable fact table, so callers
+  /// run it without mu_.
   CellMap Project(const View& view, const std::vector<size_t>& kept,
                   bool needs_ids) const;
 
-  /// Approximate memory of one view (caller holds mu_; the view itself
-  /// is all the state touched).
-  static size_t ViewBytesLocked(const View& view);
+  /// Heap of one view: its arrays' capacities.
+  static size_t ViewBytes(const View& view);
 
   const FactTable* facts_;
   const CubeLattice* lattice_;
   mutable Mutex mu_{lock_rank::kViewStore};
-  std::unordered_map<CuboidId, View> views_ X3_GUARDED_BY(mu_);
+  std::unordered_map<CuboidId, std::shared_ptr<const View>> views_
+      X3_GUARDED_BY(mu_);
 };
 
 }  // namespace x3

@@ -24,8 +24,9 @@ namespace x3 {
 /// design in one pair.
 ///
 /// Eviction calls CubeViewStore::Evict on the victim. A concurrent
-/// AnswerFromViews either still sees the view (the store is internally
-/// locked per call) or misses and rebuilds it; both are correct, so no
+/// AnswerFromViews either picked the view before (it then projects the
+/// immutable view it holds, which the eviction only unlinks from the
+/// store) or misses and rebuilds it; both are correct, so no
 /// cross-object lock is needed.
 ///
 /// Thread-safe. Lock order: mu_ (rank kServerCache) is held across the
